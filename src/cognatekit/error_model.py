@@ -11,13 +11,24 @@ Edge frequencies counted over known cognate pairs, with additive
 smoothing, estimate how probable each transformation is; the mean of
 the smoothed edge probabilities (raised to a strength exponent) scores
 how plausibly one word transforms into the other.
+
+Every transformation score, whether from a trained :class:`ErrorModel`
+or from cross-validated tuning, goes through one kernel: the graph's
+edges are mapped, in edge order, to their counts, and the per-count
+values ``((c + alpha) / (total + alpha * distinct)) ** power`` are added
+left to right, starting from ``0.0``, in an explicit loop, then divided
+by the number of edges.  The loop is deliberate: from Python 3.12
+``sum()`` adds floats with compensated summation, which would make
+scores, and the thresholds learned from them, depend on the interpreter
+version.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import product
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError, TrainingError
 from .shingling import ShinglerConfig, ShingleSet, shingle
@@ -67,8 +78,24 @@ def build_graph(s: ShingleSet, t: ShingleSet) -> ErrorGraph:
         top.insert(len(top) // 2, EMPTY_TOKEN)
     while len(bottom) < len(top):
         bottom.insert(len(bottom) // 2, EMPTY_TOKEN)
-    edges = tuple((u, v) for u in top for v in bottom)
+    edges = tuple(product(top, bottom))
     return ErrorGraph(tuple(top), tuple(bottom), edges)
+
+
+def _power_table(
+    counts: Iterable[int], total: int, distinct: int, alpha: float, power: float
+) -> dict[int, float]:
+    """Per-count memo of the powered smoothed probability of an edge."""
+    denom = total + alpha * distinct
+    return {c: ((c + alpha) / denom) ** power for c in counts}
+
+
+def _mean_score(counts: Sequence[int], table: Mapping[int, float]) -> float:
+    """Mean of ``table`` over a graph's edge counts, summed in edge order."""
+    total = 0.0
+    for c in counts:
+        total += table[c]
+    return total / len(counts)
 
 
 def _encode_edge(edge) -> str:
@@ -98,6 +125,7 @@ class ErrorModel:
     distinct_edges: int
     alpha: float = 1.0
     power: float = 1.0
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -108,6 +136,9 @@ class ErrorModel:
             raise ConfigError("total_count does not match the edge counts")
         if self.distinct_edges < len(self.edge_counts) + 1:
             raise ConfigError("distinct_edges must cover observed edges plus the unseen class")
+        counts = set(self.edge_counts.values()) | {0}
+        table = _power_table(counts, self.total_count, self.distinct_edges, self.alpha, self.power)
+        object.__setattr__(self, "_table", table)
 
     def edge_prob(self, edge) -> float:
         """Smoothed probability of one edge, strictly inside (0, 1)."""
@@ -118,9 +149,8 @@ class ErrorModel:
         """Mean of smoothed edge probabilities (each raised to ``power``)."""
         if s.config != self.config or t.config != self.config:
             raise ConfigError("shingle sets do not match the model's shingler config")
-        graph = build_graph(s, t)
-        total = sum(self.edge_prob(edge) ** self.power for edge in graph.edges)
-        return total / len(graph.edges)
+        get = self.edge_counts.get
+        return _mean_score([get(edge, 0) for edge in build_graph(s, t).edges], self._table)
 
     def score_words(self, source: str, target: str) -> float:
         return self.transformation_score(
@@ -195,27 +225,3 @@ def train_error_model(
         alpha=alpha,
         power=power,
     )
-
-
-def edge_counts_to_model(
-    config: ShinglerConfig,
-    counts: Mapping,
-    alpha: float,
-    power: float,
-) -> ErrorModel:
-    """Wrap precomputed edge counts in a model (used by tuning to share counts)."""
-    if not counts:
-        raise TrainingError("training requires at least one cognate pair")
-    return ErrorModel(
-        config=config,
-        edge_counts=dict(counts),
-        total_count=sum(counts.values()),
-        distinct_edges=len(counts) + 1,
-        alpha=alpha,
-        power=power,
-    )
-
-
-def pair_edges(source: str, target: str, config: ShinglerConfig) -> tuple:
-    """Edges of one pair's graph; convenience for count caching."""
-    return build_graph(shingle(source, config), shingle(target, config)).edges

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .baselines import BASELINE_METHODS, baseline_similarity
 from .errors import ConfigError, DataError, InvalidWordError, TrainingError
-from .error_model import pair_edges
+from .error_model import _mean_score, _power_table, build_graph
 from .ranking import (
     LexiconIndex,
     RankerParams,
@@ -334,126 +334,149 @@ def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-class _FoldCache:
-    """Per-fold precomputation shared by every grid combination."""
+class _TuneCache:
+    """Fold-independent work of one tune call: shingle sets and graph edges."""
 
-    def __init__(self, train, val, config, function, use_error_model, lexicon_index):
+    def __init__(self, config: ShinglerConfig):
+        self.config = config
+        self._sets: dict[str, ShingleSet] = {}
+        self._edges: dict[tuple[str, str], tuple] = {}
+
+    def shingle_set(self, word: str) -> ShingleSet:
+        cached = self._sets.get(word)
+        if cached is None:
+            cached = self._sets[word] = shingle(word, self.config)
+        return cached
+
+    def edges(self, source: str, target: str) -> tuple:
+        key = (source, target)
+        cached = self._edges.get(key)
+        if cached is None:
+            cached = build_graph(self.shingle_set(source), self.shingle_set(target)).edges
+            self._edges[key] = cached
+        return cached
+
+
+class _FoldCache:
+    """Per-fold precomputation shared by every grid combination.
+
+    Each pair's graph edges become a tuple of this fold's edge counts
+    once; every (alpha, power) grid point scores those tuples with the
+    error model's kernel, so tuning and a model trained on the fold's
+    positives compute the same value.
+    """
+
+    def __init__(self, shared: _TuneCache, train, val, function, use_error_model, lexicon_index):
+        self.shared = shared
         self.train = train
         self.val = val
-        self.config = config
         self.function = function
         self.use_error_model = use_error_model
-        self.sets: dict[str, ShingleSet] = {}
-        self._edge_lists: dict[tuple[str, str], tuple] = {}
-        self._raw: dict[tuple, tuple[list[float], list[float]]] = {}
+        self.queries = [p for p in val if p.label]
+        self._norm: dict[tuple, tuple[list[float], list[float]]] = {}
         self._trans: dict[tuple, tuple[list[float], list[float]]] = {}
-        self._raw_rows: dict[tuple, list[list[float]]] = {}
+        self._norm_rows: dict[tuple, list[list[float]]] = {}
         self._trans_rows: dict[tuple, list[list[float]]] = {}
+        self._pair_counts: Optional[tuple[list[tuple], list[tuple]]] = None
+        self._row_counts: Optional[list[list[tuple]]] = None
         self.counts: Counter = Counter()
-        self.total = 0
-        self.distinct = 1
         if use_error_model:
             positives = [p for p in train if p.label]
             if not positives:
                 raise TrainingError("a cross-validation fold has no positive training pairs")
             for p in positives:
-                self.counts.update(self._edges(p.source, p.target))
-            self.total = sum(self.counts.values())
-            self.distinct = len(self.counts) + 1
-        self.index = build_index([p.target for p in train], config)
+                self.counts.update(shared.edges(p.source, p.target))
+        self.total = sum(self.counts.values())
+        self.distinct = len(self.counts) + 1
+        self.index = build_index([p.target for p in train], shared.config)
         self.lexicon_index = lexicon_index
 
-    def _set(self, word: str) -> ShingleSet:
-        cached = self.sets.get(word)
-        if cached is None:
-            cached = shingle(word, self.config)
-            self.sets[word] = cached
-        return cached
+    def _count_seq(self, source: str, target: str) -> tuple:
+        get = self.counts.get
+        return tuple([get(edge, 0) for edge in self.shared.edges(source, target)])
 
-    def _edges(self, source: str, target: str) -> tuple:
-        key = (source, target)
-        cached = self._edge_lists.get(key)
-        if cached is None:
-            cached = pair_edges(source, target, self.config)
-            self._edge_lists[key] = cached
-        return cached
+    def _table(self, alpha, power) -> dict[int, float]:
+        values = set(self.counts.values()) | {0}
+        return _power_table(values, self.total, self.distinct, alpha, power)
 
     def _params(self, mu: float, k1: float, b: float) -> RankerParams:
         return RankerParams(self.function, k1=k1, b=b, mu=mu)
 
-    def raw_sims(self, mu, k1, b) -> tuple[list[float], list[float]]:
+    def norm_sims(self, mu, k1, b) -> tuple[list[float], list[float]]:
+        """Raw sims min/max-normalized on the training side, then clamped."""
         key = (mu, k1, b)
-        cached = self._raw.get(key)
+        cached = self._norm.get(key)
         if cached is None:
             params = self._params(mu, k1, b)
-            cached = tuple(
-                [
-                    sim(self._set(p.source), self._set(p.target), self.index, params)
-                    for p in part
-                ]
+            sets = self.shared.shingle_set
+            tr_raw, val_raw = (
+                [sim(sets(p.source), sets(p.target), self.index, params) for p in part]
                 for part in (self.train, self.val)
             )
-            self._raw[key] = cached
+            lo, hi = min(tr_raw), max(tr_raw)
+            if hi > lo:
+                span = hi - lo
+                cached = tuple(
+                    [_clamp01((r - lo) / span) for r in part] for part in (tr_raw, val_raw)
+                )
+            else:
+                # degenerate bounds: similarity carries no signal in this fold
+                cached = ([0.5] * len(tr_raw), [0.5] * len(val_raw))
+            self._norm[key] = cached
         return cached
-
-    def _edge_score(self, edges, alpha, power, memo) -> float:
-        denom = self.total + alpha * self.distinct
-        score = 0.0
-        for edge in edges:
-            value = memo.get(edge)
-            if value is None:
-                value = ((self.counts.get(edge, 0) + alpha) / denom) ** power
-                memo[edge] = value
-            score += value
-        return score / len(edges)
 
     def transformation(self, alpha, power) -> tuple[list[float], list[float]]:
         key = (alpha, power)
         cached = self._trans.get(key)
         if cached is None:
-            memo: dict = {}
+            if self._pair_counts is None:
+                self._pair_counts = tuple(
+                    [self._count_seq(p.source, p.target) for p in part]
+                    for part in (self.train, self.val)
+                )
+            table = self._table(alpha, power)
             cached = tuple(
-                [
-                    self._edge_score(self._edges(p.source, p.target), alpha, power, memo)
-                    for p in part
-                ]
-                for part in (self.train, self.val)
+                [_mean_score(counts, table) for counts in part] for part in self._pair_counts
             )
             self._trans[key] = cached
         return cached
 
     # ranking-objective caches: one row per validation query over the lexicon
 
-    @property
-    def queries(self):
-        return [p for p in self.val if p.label]
-
-    def raw_rows(self, mu, k1, b) -> list[list[float]]:
+    def norm_rows(self, mu, k1, b) -> list[list[float]]:
+        """Raw sims of each query over the lexicon, min/max-normalized per query."""
         key = (mu, k1, b)
-        cached = self._raw_rows.get(key)
+        cached = self._norm_rows.get(key)
         if cached is None:
             params = self._params(mu, k1, b)
-            cached = [
-                [
-                    sim(self._set(p.source), doc, self.lexicon_index, params)
+            cached = []
+            for p in self.queries:
+                query = self.shared.shingle_set(p.source)
+                raw = [
+                    sim(query, doc, self.lexicon_index, params)
                     for _, doc in self.lexicon_index.docs
                 ]
-                for p in self.queries
-            ]
-            self._raw_rows[key] = cached
+                lo, hi = min(raw), max(raw)
+                if hi > lo:
+                    span = hi - lo
+                    cached.append([(r - lo) / span for r in raw])
+                else:
+                    cached.append([0.5] * len(raw))
+            self._norm_rows[key] = cached
         return cached
 
     def trans_rows(self, alpha, power) -> list[list[float]]:
         key = (alpha, power)
         cached = self._trans_rows.get(key)
         if cached is None:
-            memo: dict = {}
-            cached = [
-                [
-                    self._edge_score(self._edges(p.source, word), alpha, power, memo)
-                    for word, _ in self.lexicon_index.docs
+            if self._row_counts is None:
+                self._row_counts = [
+                    [self._count_seq(p.source, word) for word, _ in self.lexicon_index.docs]
+                    for p in self.queries
                 ]
-                for p in self.queries
+            table = self._table(alpha, power)
+            cached = [
+                [_mean_score(counts, table) for counts in row] for row in self._row_counts
             ]
             self._trans_rows[key] = cached
         return cached
@@ -461,32 +484,24 @@ class _FoldCache:
 
 def _blend(weight, norms, trans):
     if weight == 1.0:
-        return list(norms)
+        return norms
     if weight == 0.0:
-        return list(trans)
-    return [weight * n + (1.0 - weight) * t for n, t in zip(norms, trans)]
+        return trans
+    rest = 1.0 - weight
+    return [weight * n + rest * t for n, t in zip(norms, trans)]
 
 
 def _combo_accuracy(cache: _FoldCache, combo: dict) -> float:
     weight = combo["sim_weight"]
-    tr_raw, val_raw = cache.raw_sims(combo["mu"], combo["k1"], combo["b"])
     if weight > 0.0:
-        lo, hi = min(tr_raw), max(tr_raw)
-        if hi > lo:
-            span = hi - lo
-            tr_norm = [_clamp01((r - lo) / span) for r in tr_raw]
-            val_norm = [_clamp01((r - lo) / span) for r in val_raw]
-        else:
-            # degenerate bounds: similarity carries no signal in this fold
-            tr_norm = [0.5] * len(tr_raw)
-            val_norm = [0.5] * len(val_raw)
+        tr_norm, val_norm = cache.norm_sims(combo["mu"], combo["k1"], combo["b"])
     else:
-        tr_norm = [0.0] * len(tr_raw)
-        val_norm = [0.0] * len(val_raw)
+        tr_norm = [0.0] * len(cache.train)
+        val_norm = [0.0] * len(cache.val)
     if cache.use_error_model and weight < 1.0:
         tr_trans, val_trans = cache.transformation(combo["alpha"], combo["power"])
     else:
-        tr_trans = val_trans = [0.0] * max(len(tr_raw), len(val_raw))
+        tr_trans = val_trans = [0.0] * max(len(cache.train), len(cache.val))
     tr_scores = _blend(weight, tr_norm, tr_trans)
     val_scores = _blend(weight, val_norm, val_trans)
     threshold = learn_threshold(tr_scores, [p.label for p in cache.train])
@@ -502,25 +517,45 @@ def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional
     if not queries:
         return None
     weight = combo["sim_weight"]
-    raw_rows = cache.raw_rows(combo["mu"], combo["k1"], combo["b"])
+    if weight > 0.0:
+        norm_rows = cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
+    else:
+        norm_rows = [[0.0] * len(lex_words)] * len(queries)
     if cache.use_error_model and weight < 1.0:
         trans_rows = cache.trans_rows(combo["alpha"], combo["power"])
     else:
         trans_rows = [[0.0] * len(lex_words)] * len(queries)
     total = 0.0
-    for pair, raw, trans in zip(queries, raw_rows, trans_rows):
-        if weight > 0.0:
-            lo, hi = min(raw), max(raw)
-            if hi > lo:
-                span = hi - lo
-                norms = [(r - lo) / span for r in raw]
-            else:
-                norms = [0.5] * len(raw)
-        else:
-            norms = [0.0] * len(raw)
+    for pair, norms, trans in zip(queries, norm_rows, trans_rows):
         scores = _blend(weight, norms, trans)
         total += 1.0 / target_rank(lex_words, scores, pair.target)
     return total / len(queries)
+
+
+def _fold_caches(
+    pairs: Sequence[LabeledPair],
+    shingler_config: ShinglerConfig,
+    ranker_function: str,
+    use_error_model: bool,
+    folds: int,
+    seed: int,
+    lexicon_index: Optional[LexiconIndex],
+) -> list[_FoldCache]:
+    """One cache per cross-validation fold, all sharing one :class:`_TuneCache`."""
+    fold_groups = stratified_folds(pairs, folds, seed)
+    if len(fold_groups) < 2:
+        fold_groups = [list(pairs)]
+    shared = _TuneCache(shingler_config)
+    caches = []
+    for i, val in enumerate(fold_groups):
+        if len(fold_groups) == 1:
+            train = val
+        else:
+            train = [p for j, fold in enumerate(fold_groups) for p in fold if j != i]
+        caches.append(
+            _FoldCache(shared, train, val, ranker_function, use_error_model, lexicon_index)
+        )
+    return caches
 
 
 def tune(
@@ -544,26 +579,15 @@ def tune(
     if not pairs:
         raise TrainingError("tuning requires training pairs")
     merged = _resolve_grids(grids, ranker_function, use_error_model)
-    fold_groups = stratified_folds(pairs, folds, seed)
-    if len(fold_groups) < 2:
-        fold_groups = [list(pairs)]
-
     lexicon_index = None
     lex_words: list[str] = []
     if objective == "mrr":
         source_words = lexicon if lexicon is not None else [p.target for p in pairs]
         lex_words = list(dict.fromkeys(normalize_word(w) for w in source_words))
         lexicon_index = build_index(lex_words, shingler_config)
-
-    caches = []
-    for i, val in enumerate(fold_groups):
-        if len(fold_groups) == 1:
-            train = val
-        else:
-            train = [p for j, fold in enumerate(fold_groups) for p in fold if j != i]
-        caches.append(
-            _FoldCache(train, val, shingler_config, ranker_function, use_error_model, lexicon_index)
-        )
+    caches = _fold_caches(
+        pairs, shingler_config, ranker_function, use_error_model, folds, seed, lexicon_index
+    )
 
     best_combo = None
     best_score = -math.inf
@@ -579,14 +603,17 @@ def tune(
                     fold_scores.append(score)
         if not fold_scores:
             raise TrainingError("no fold produced a tuning score (no positive pairs?)")
-        mean_score = sum(fold_scores) / len(fold_scores)
+        total = 0.0
+        for score in fold_scores:
+            total += score
+        mean_score = total / len(fold_scores)
         if mean_score > best_score:
             best_score = mean_score
             best_combo = combo
     resolved = dict(best_combo)
     resolved["cv_score"] = best_score
     resolved["objective"] = objective
-    resolved["folds"] = len(fold_groups)
+    resolved["folds"] = len(caches)
     return resolved
 
 

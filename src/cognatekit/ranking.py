@@ -181,21 +181,21 @@ def target_rank(words: Sequence[str], scores: Sequence[float], target: str) -> i
     """1-based rank the target word receives under the shared tie rule.
 
     Equivalent to its position in :func:`order_scored` output (best
-    occurrence when the word repeats) but computed in one pass.
+    occurrence when the word repeats) but computed without sorting:
+    count the scores above the target's best score, and walk the
+    (word, position) tie rule only when that score is shared.
     """
-    best_key = None
-    for i, (word, score) in enumerate(zip(words, scores)):
-        if word == target:
-            key = (-score, word, i)
-            if best_key is None or key < best_key:
-                best_key = key
-    if best_key is None:
-        raise DataError(f"target word {target!r} is not among the candidates")
-    ahead = sum(
-        1
-        for i, (word, score) in enumerate(zip(words, scores))
-        if (-score, word, i) < best_key
-    )
+    try:
+        best = scores[words.index(target)]
+    except ValueError:
+        raise DataError(f"target word {target!r} is not among the candidates") from None
+    if words.count(target) > 1:
+        best = max(score for word, score in zip(words, scores) if word == target)
+    ahead = sum(1 for score in scores if score > best)
+    if scores.count(best) > 1:
+        # equal scores order by word; the target's own best occurrence
+        # precedes its later duplicates, so only smaller words go ahead
+        ahead += sum(1 for word, score in zip(words, scores) if score == best and word < target)
     return ahead + 1
 
 

@@ -15,22 +15,26 @@ from cognatekit import (
     RankerParams,
     ShinglerConfig,
     ablation,
+    build_index,
     eval_classification,
     eval_mrr,
     load_dataset,
     run_baseline_experiment,
     run_experiment,
+    shingle,
     split,
+    train_error_model,
     tune,
 )
 from cognatekit.evaluation import (
+    _fold_caches,
     dataset_lexicon,
     format_report_table,
     resolve_hyperparameters,
     stratified_folds,
 )
 
-from conftest import make_synthetic_pairs
+from conftest import make_hard_synthetic_pairs, make_synthetic_pairs
 
 TWO_END = ShinglerConfig((2,), "two_end")
 
@@ -245,6 +249,49 @@ class TestTune:
         )
         assert resolved["objective"] == "mrr"
         assert 0.0 <= resolved["cv_score"] <= 1.0
+
+    def test_golden_results_on_synthetic_pairs(self, synthetic_pairs):
+        # recorded before the tuning caches shared the error-model kernel;
+        # cv_score is compared exactly, so summation order is pinned too
+        common = {"alpha": 1.0, "k1": 1.2, "b": 0.75, "folds": 5}
+        assert tune(synthetic_pairs, TWO_END, "dirichlet", objective="accuracy") == {
+            **common, "sim_weight": 0.2, "power": 0.25, "mu": 1.0,
+            "cv_score": 1.0, "objective": "accuracy",
+        }
+        assert tune(synthetic_pairs, TWO_END, "dirichlet", objective="mrr") == {
+            **common, "sim_weight": 0.2, "power": 0.25, "mu": 5.0,
+            "cv_score": 0.9333333333333333, "objective": "mrr",
+        }
+
+    def test_golden_results_on_hard_pairs(self):
+        pairs = make_hard_synthetic_pairs(40, 40)
+        grids = {"k1": [0.5, 1.2], "b": [0.3, 0.75], "alpha": [0.5, 1.0]}
+        assert tune(pairs, TWO_END, "bm25", grids=grids, objective="accuracy") == {
+            "sim_weight": 0.2, "power": 1.0, "alpha": 0.5, "mu": 1.0, "k1": 0.5,
+            "b": 0.3, "cv_score": 0.75, "objective": "accuracy", "folds": 5,
+        }
+        assert tune(pairs, TWO_END, "bm25", grids=grids, objective="mrr") == {
+            "sim_weight": 0.2, "power": 0.25, "alpha": 0.5, "mu": 1.0, "k1": 1.2,
+            "b": 0.75, "cv_score": 0.9166666666666666, "objective": "mrr", "folds": 5,
+        }
+
+    def test_fold_scores_equal_a_model_trained_on_the_fold(self):
+        pairs = make_hard_synthetic_pairs(20, 20)
+        lexicon = build_index(list(dict.fromkeys(p.target for p in pairs)), TWO_END)
+        caches = _fold_caches(pairs, TWO_END, "dirichlet", True, 5, 42, lexicon)
+        assert len(caches) == 5
+        for cache in caches:
+            positives = [(p.source, p.target) for p in cache.train if p.label]
+            for alpha, power in ((1.0, 1.0), (0.5, 0.25), (2.0, 4.0), (1.0, 0.5)):
+                model = train_error_model(positives, TWO_END, alpha, power)
+                tr_trans, val_trans = cache.transformation(alpha, power)
+                for part, scores in ((cache.train, tr_trans), (cache.val, val_trans)):
+                    expected = [model.score_words(p.source, p.target) for p in part]
+                    assert scores == expected
+                for query, row in zip(cache.queries, cache.trans_rows(alpha, power)):
+                    source = shingle(query.source, TWO_END)
+                    expected = [model.transformation_score(source, doc) for _, doc in lexicon.docs]
+                    assert row == expected
 
     def test_irrelevant_dimensions_collapse(self, synthetic_pairs):
         resolved = resolve_hyperparameters(

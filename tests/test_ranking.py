@@ -269,6 +269,18 @@ class TestTargetRank:
             expected = next(i for i, (w, _) in enumerate(ranked) if w == target) + 1
             assert target_rank(words, scores, target) == expected
 
+    def test_repeated_targets_heavy_ties_and_signed_zeros(self):
+        rng = random.Random(26)
+        vocabulary = ["ab", "ba", "bb", "ca", "cb", "aa"]
+        values = [-0.0, 0.0, 0.0, -0.0, 0.25, 0.5, 1.0, -1.0]
+        for _ in range(1000):
+            words = [rng.choice(vocabulary) for _ in range(rng.randint(1, 25))]
+            scores = [rng.choice(values) for _ in words]
+            target = rng.choice(words)
+            ranked = order_scored(words, scores)
+            expected = next(i for i, (w, _) in enumerate(ranked) if w == target) + 1
+            assert target_rank(words, scores, target) == expected
+
     def test_missing_target_is_a_data_error(self):
         with pytest.raises(DataError):
             target_rank(["a", "b"], [1.0, 0.5], "c")
