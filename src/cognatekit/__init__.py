@@ -55,17 +55,7 @@ from .ranking import (
     sim,
 )
 from .scorer import CombinedScorer, ScoreConfig, learn_threshold, train_scorer
-from .shingling import (
-    Shingle,
-    ShingleSet,
-    ShinglerConfig,
-    intersect,
-    normalize_word,
-    shingle,
-    shingle_one_end,
-    shingle_plain,
-    shingle_two_end,
-)
+from .shingling import ShingleSet, ShinglerConfig, intersect, normalize_word, shingle
 
 __all__ = [
     "AblationCell",
@@ -85,7 +75,6 @@ __all__ = [
     "PipelineSystem",
     "RankerParams",
     "ScoreConfig",
-    "Shingle",
     "ShingleSet",
     "ShinglerConfig",
     "TrainingError",
@@ -109,9 +98,6 @@ __all__ = [
     "run_experiment",
     "save_model",
     "shingle",
-    "shingle_one_end",
-    "shingle_plain",
-    "shingle_two_end",
     "sim",
     "split",
     "train_error_model",

@@ -25,6 +25,7 @@ version.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -128,10 +129,10 @@ class ErrorModel:
     _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigError(f"smoothing pseudo-count must be > 0, got {self.alpha}")
-        if self.power <= 0:
-            raise ConfigError(f"strength exponent must be > 0, got {self.power}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"smoothing pseudo-count must be finite and > 0, got {self.alpha}")
+        if not 0 < self.power < math.inf:
+            raise ConfigError(f"strength exponent must be finite and > 0, got {self.power}")
         if self.total_count != sum(self.edge_counts.values()):
             raise ConfigError("total_count does not match the edge counts")
         if self.distinct_edges < len(self.edge_counts) + 1:

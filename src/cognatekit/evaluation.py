@@ -32,7 +32,7 @@ from .ranking import (
     sim,
     target_rank,
 )
-from .scorer import CombinedScorer, learn_threshold, train_scorer
+from .scorer import CombinedScorer, _blend, _normalize, learn_threshold, train_scorer
 from .shingling import ShinglerConfig, ShingleSet, normalize_word, shingle
 
 
@@ -180,8 +180,10 @@ def eval_mrr(
         ranking = system.rank(pair.source, words)
         position = next(i for i, (word, _) in enumerate(ranking) if word == pair.target)
         ranks.append(position + 1)
-    mrr = sum(1.0 / r for r in ranks) / len(ranks)
-    return mrr, ranks
+    total = 0.0  # left to right: sum() over floats is compensated from 3.12
+    for r in ranks:
+        total += 1.0 / r
+    return total / len(ranks), ranks
 
 
 class PipelineSystem:
@@ -330,10 +332,6 @@ def _resolve_grids(
     return merged
 
 
-def _clamp01(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
 class _TuneCache:
     """Fold-independent work of one tune call: shingle sets and graph edges."""
 
@@ -403,7 +401,7 @@ class _FoldCache:
         return RankerParams(self.function, k1=k1, b=b, mu=mu)
 
     def norm_sims(self, mu, k1, b) -> tuple[list[float], list[float]]:
-        """Raw sims min/max-normalized on the training side, then clamped."""
+        """Raw sims normalized with the training side's min/max bounds."""
         key = (mu, k1, b)
         cached = self._norm.get(key)
         if cached is None:
@@ -414,14 +412,7 @@ class _FoldCache:
                 for part in (self.train, self.val)
             )
             lo, hi = min(tr_raw), max(tr_raw)
-            if hi > lo:
-                span = hi - lo
-                cached = tuple(
-                    [_clamp01((r - lo) / span) for r in part] for part in (tr_raw, val_raw)
-                )
-            else:
-                # degenerate bounds: similarity carries no signal in this fold
-                cached = ([0.5] * len(tr_raw), [0.5] * len(val_raw))
+            cached = (_normalize(tr_raw, lo, hi), _normalize(val_raw, lo, hi))
             self._norm[key] = cached
         return cached
 
@@ -456,12 +447,7 @@ class _FoldCache:
                     sim(query, doc, self.lexicon_index, params)
                     for _, doc in self.lexicon_index.docs
                 ]
-                lo, hi = min(raw), max(raw)
-                if hi > lo:
-                    span = hi - lo
-                    cached.append([(r - lo) / span for r in raw])
-                else:
-                    cached.append([0.5] * len(raw))
+                cached.append(_normalize(raw, min(raw), max(raw)))
             self._norm_rows[key] = cached
         return cached
 
@@ -482,26 +468,14 @@ class _FoldCache:
         return cached
 
 
-def _blend(weight, norms, trans):
-    if weight == 1.0:
-        return norms
-    if weight == 0.0:
-        return trans
-    rest = 1.0 - weight
-    return [weight * n + rest * t for n, t in zip(norms, trans)]
-
-
 def _combo_accuracy(cache: _FoldCache, combo: dict) -> float:
+    # _blend reads only the norms at weight 1 and only the trans at weight 0
     weight = combo["sim_weight"]
+    tr_norm = val_norm = tr_trans = val_trans = []
     if weight > 0.0:
         tr_norm, val_norm = cache.norm_sims(combo["mu"], combo["k1"], combo["b"])
-    else:
-        tr_norm = [0.0] * len(cache.train)
-        val_norm = [0.0] * len(cache.val)
-    if cache.use_error_model and weight < 1.0:
+    if weight < 1.0:
         tr_trans, val_trans = cache.transformation(combo["alpha"], combo["power"])
-    else:
-        tr_trans = val_trans = [0.0] * max(len(cache.train), len(cache.val))
     tr_scores = _blend(weight, tr_norm, tr_trans)
     val_scores = _blend(weight, val_norm, val_trans)
     threshold = learn_threshold(tr_scores, [p.label for p in cache.train])
@@ -517,14 +491,11 @@ def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional
     if not queries:
         return None
     weight = combo["sim_weight"]
+    norm_rows = trans_rows = [[]] * len(queries)
     if weight > 0.0:
         norm_rows = cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
-    else:
-        norm_rows = [[0.0] * len(lex_words)] * len(queries)
-    if cache.use_error_model and weight < 1.0:
+    if weight < 1.0:
         trans_rows = cache.trans_rows(combo["alpha"], combo["power"])
-    else:
-        trans_rows = [[0.0] * len(lex_words)] * len(queries)
     total = 0.0
     for pair, norms, trans in zip(queries, norm_rows, trans_rows):
         scores = _blend(weight, norms, trans)

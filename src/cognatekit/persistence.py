@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .errors import DataError
+from .errors import CognateKitError, DataError
 from .error_model import model_from_dict
 from .ranking import RankerParams, build_index
 from .scorer import CombinedScorer, ScoreConfig
@@ -54,7 +54,7 @@ def scorer_to_dict(
 
 
 def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
-    """Rebuild a scorer and its metadata ({seed, hyperparameters})."""
+    """Rebuild a scorer and its metadata; any fault in the document is a DataError."""
     try:
         if payload.get("format") != MODEL_FORMAT:
             raise DataError(f"not a {MODEL_FORMAT} document")
@@ -71,7 +71,10 @@ def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
             normalization=payload["score_config"]["normalization"],
             threshold=float(payload["score_config"]["threshold"]),
         )
-        index = build_index(payload["index_words"], error_model.config)
+        words = payload["index_words"]
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise DataError("index_words must be a list of strings")
+        index = build_index(words, error_model.config)
         scorer = CombinedScorer(
             config,
             error_model,
@@ -86,7 +89,7 @@ def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
         return scorer, meta
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (CognateKitError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
 
 

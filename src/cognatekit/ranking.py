@@ -13,7 +13,11 @@ binary and the classic formulas specialize accordingly:
                     / (1 + k1 * (1 - b + b * |D| / avgdl))
 * ``dirichlet``     |Q| * ln(mu / (mu + |D|)) + sum over shared tokens of
                     ln(1 + 1 / (mu * p(t|C))) with add-one collection
-                    smoothing p(t|C) = (cf + 1) / (total_cf + |V| + 1)
+                    smoothing p(t|C) = (cf + 1) / (sum of |D| + |V| + 1),
+                    where cf = df because term frequency is binary
+
+Scores add left to right from 0.0 in explicit loops: ``sum()`` over
+floats is compensated from Python 3.12, tying scores to the version.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DataError, InvalidWordError
-from .shingling import ShinglerConfig, ShingleSet, normalize_word, shingle, shingle_plain
+from .shingling import ShinglerConfig, ShingleSet, normalize_word, shingle
 
 RANKING_FUNCTIONS = (
     "intersection",
@@ -51,12 +55,12 @@ class RankerParams:
             raise ConfigError(
                 f"unknown ranking function {self.function!r}; expected one of {RANKING_FUNCTIONS}"
             )
-        if self.k1 < 0:
-            raise ConfigError(f"k1 must be >= 0, got {self.k1}")
+        if not 0.0 <= self.k1 < math.inf:
+            raise ConfigError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ConfigError(f"b must be in [0, 1], got {self.b}")
-        if self.mu <= 0:
-            raise ConfigError(f"mu must be > 0, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
 
 
 class LexiconIndex:
@@ -72,19 +76,15 @@ class LexiconIndex:
         self.config = config
         self.docs: list[tuple[str, ShingleSet]] = []
         df: Counter = Counter()
-        cf: Counter = Counter()
         total_len = 0
         for word in lexicon:
             doc = shingle(word, config)
             self.docs.append((doc.source_word, doc))
             total_len += len(doc)
-            for token in doc.tokens:
-                df[token] += 1
-                cf[token] += 1
+            df.update(doc.tokens)
         self.doc_count = len(self.docs)
         self.df = dict(df)
-        self.cf = dict(cf)
-        self.total_cf = sum(cf.values())
+        self.total_len = total_len
         self.avgdl = total_len / self.doc_count
         self.vocabulary_size = len(df)
 
@@ -93,17 +93,21 @@ class LexiconIndex:
 
     def background_prob(self, token: str) -> float:
         """Add-one smoothed collection probability of a token."""
-        return (self.cf.get(token, 0) + 1) / (self.total_cf + self.vocabulary_size + 1)
+        return (self.df.get(token, 0) + 1) / (self.total_len + self.vocabulary_size + 1)
 
 
 def build_index(lexicon: Sequence[str], config: ShinglerConfig) -> LexiconIndex:
     return LexiconIndex(lexicon, config)
 
 
+_PLAIN_BIGRAMS = ShinglerConfig((2,), "plain")
+
+
 def extended_bigram_tokens(word: str) -> frozenset[str]:
     """Plain bigram shingles plus trigrams with the middle character removed."""
-    word = normalize_word(word)
-    tokens = set(shingle_plain(word, 2).tokens)
+    bigrams = shingle(word, _PLAIN_BIGRAMS)
+    word = bigrams.source_word
+    tokens = set(bigrams.tokens)
     tokens.update(word[i] + word[i + 2] for i in range(len(word) - 2))
     return frozenset(tokens)
 
@@ -142,7 +146,10 @@ def sim(
         n = index.doc_count
         # df can only be 0 for a document outside the index; score such
         # tokens like the rarest indexable ones instead of diverging.
-        return sum(math.log(1.0 + n / max(index.df.get(t, 0), 1)) for t in shared)
+        score = 0.0
+        for token in shared:
+            score += math.log(1.0 + n / max(index.df.get(token, 0), 1))
+        return score
     if function == "bm25":
         n = index.doc_count
         norm = 1.0 + params.k1 * (1.0 - params.b + params.b * len(doc) / index.avgdl)

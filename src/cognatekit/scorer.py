@@ -9,10 +9,16 @@ blended score is
 
 and a pair is called a cognate when the blend reaches the decision
 threshold.
+
+``_normalize`` and ``_blend`` are the only implementations of the two
+formulas; the scorer, :func:`train_scorer` and CV tuning call them.  The
+clamp in ``_normalize`` acts only on trained bounds: per-query bounds
+have lo <= r <= hi, and rounding is monotone, so 0 <= r - lo <= hi - lo.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -22,6 +28,24 @@ from .ranking import LexiconIndex, RankerParams, build_index, sim
 from .shingling import ShinglerConfig, ShingleSet, shingle
 
 NORMALIZATION_MODES = ("per_query_minmax", "trained_minmax")
+
+
+def _normalize(raws: Sequence[float], lo: float, hi: float) -> list[float]:
+    """Min/max-scale raw sims into [0, 1]; bounds with hi <= lo carry no signal: 0.5."""
+    if not hi > lo:
+        return [0.5] * len(raws)
+    span = hi - lo
+    return [min(1.0, max(0.0, (r - lo) / span)) for r in raws]
+
+
+def _blend(weight: float, norms: Sequence[float], trans: Sequence[float]) -> Sequence[float]:
+    """Elementwise weight * norm + (1 - weight) * trans; weights 1 and 0 read one side."""
+    if weight == 1.0:
+        return norms
+    if weight == 0.0:
+        return trans
+    rest = 1.0 - weight
+    return [weight * n + rest * t for n, t in zip(norms, trans)]
 
 
 @dataclass(frozen=True)
@@ -58,9 +82,13 @@ class CombinedScorer:
     ):
         if error_model.config != index.config:
             raise ConfigError("error model and index use different shingler configs")
-        if sim_min is not None and sim_max is not None and not sim_min < sim_max:
+        if (sim_min is None) != (sim_max is None):
+            raise TrainingError("normalization bounds need both min and max, or neither")
+        if sim_min is not None and sim_max is not None and not (
+            math.isfinite(sim_min) and math.isfinite(sim_max) and sim_min < sim_max
+        ):
             raise TrainingError(
-                f"normalization bounds must satisfy min < max, got [{sim_min}, {sim_max}]"
+                f"normalization bounds must be finite with min < max, got [{sim_min}, {sim_max}]"
             )
         self.config = config
         self.error_model = error_model
@@ -81,30 +109,26 @@ class CombinedScorer:
             self.sim_max,
         )
 
-    def _normalize_trained(self, raw: float) -> float:
+    def _trained_bounds(self) -> tuple[float, float]:
         if self.sim_min is None or self.sim_max is None:
             raise TrainingError("normalization bounds were never learned")
-        scaled = (raw - self.sim_min) / (self.sim_max - self.sim_min)
-        return min(1.0, max(0.0, scaled))
-
-    def blend(self, sim_norm: float, transformation: float) -> float:
-        w = self.config.sim_weight
-        return w * sim_norm + (1.0 - w) * transformation
+        return self.sim_min, self.sim_max
 
     def combined_score(self, s: ShingleSet, t: ShingleSet) -> float:
         """Blended score of a single pair, in [0, 1].
 
         Under per-query normalization a lone pair is its own candidate
-        set, so its normalized similarity degenerates to 0.5 and the
-        transformation score decides.
+        set, so its bounds coincide, its normalized similarity is 0.5
+        and the transformation score decides.
         """
         if self.config.normalization == "trained_minmax":
-            sim_norm = self._normalize_trained(sim(s, t, self.index, self.config.ranker))
+            raws = [sim(s, t, self.index, self.config.ranker)]
+            norms = _normalize(raws, *self._trained_bounds())
         else:
-            sim_norm = 0.5
-        if self.config.sim_weight == 1.0:
-            return sim_norm
-        return self.blend(sim_norm, self.error_model.transformation_score(s, t))
+            norms = [0.5]
+        w = self.config.sim_weight
+        trans = [] if w == 1.0 else [self.error_model.transformation_score(s, t)]
+        return _blend(w, norms, trans)[0]
 
     def score_pair(self, source: str, target: str) -> float:
         cfg = self.shingler_config
@@ -119,24 +143,16 @@ class CombinedScorer:
         if index.config != self.shingler_config:
             raise ConfigError("index does not match the scorer's shingler config")
         w = self.config.sim_weight
+        norms = trans = []
         if w > 0.0:
             raws = [sim(query, doc, index, self.config.ranker) for _, doc in index.docs]
             if self.config.normalization == "per_query_minmax":
-                lo, hi = min(raws), max(raws)
-                if hi > lo:
-                    norms = [(raw - lo) / (hi - lo) for raw in raws]
-                else:
-                    norms = [0.5] * len(raws)
+                norms = _normalize(raws, min(raws), max(raws))
             else:
-                norms = [self._normalize_trained(raw) for raw in raws]
-        else:
-            norms = [0.0] * len(index.docs)
-        if w == 1.0:
-            return norms
-        return [
-            self.blend(norm, self.error_model.transformation_score(query, doc))
-            for norm, (_, doc) in zip(norms, index.docs)
-        ]
+                norms = _normalize(raws, *self._trained_bounds())
+        if w < 1.0:
+            trans = [self.error_model.transformation_score(query, doc) for _, doc in index.docs]
+        return _blend(w, norms, trans)
 
 
 def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -184,7 +200,7 @@ def train_scorer(
     The transformation model is trained on the positive pairs only; the
     similarity bounds come from raw sims of all training pairs against
     an index over the training targets; the threshold, unless given, is
-    learned on the blended training scores.
+    learned on the blended training scores of those same raw sims.
     """
     if not pairs:
         raise TrainingError("training requires at least one labeled pair")
@@ -211,7 +227,10 @@ def train_scorer(
     )
     scorer = CombinedScorer(config, error_model, index, sim_min, sim_max)
     if threshold is None:
-        scores = [scorer.combined_score(s, t) for s, t, _ in sets]
+        trans = []
+        if sim_weight < 1.0:
+            trans = [error_model.transformation_score(s, t) for s, t, _ in sets]
+        scores = _blend(sim_weight, _normalize(raws, sim_min, sim_max), trans)
         learned = learn_threshold(scores, [label for _, _, label in sets])
         scorer = scorer.with_config(threshold=learned)
     return scorer

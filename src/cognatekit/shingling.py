@@ -1,26 +1,28 @@
 """Positional character shingling.
 
-A word is broken into overlapping character k-grams ("shingles").  Three
-variants are supported:
+A word is broken into overlapping character k-grams ("shingles"), each
+kept as a plain token string.  ``ShinglerConfig.mode`` decides how a
+gram's position is written into its token:
 
-* ``plain``    -- bare grams, no position information.
-* ``one_end``  -- every gram carries its 1-based index counted from the
-  start of the gram sequence, attached on the left ("2ro").
-* ``two_end``  -- every gram carries the smaller of its index from the
-  start and its index from the end; the number is attached on the left
-  when counting from the start wins (or ties) and on the right when
-  counting from the end wins ("ar4").
+* ``plain``    -- the bare gram, no position information.
+* ``one_end``  -- the gram's 1-based index counted from the start of the
+  gram sequence, attached on the left ("2ro").
+* ``two_end``  -- the smaller of the gram's index from the start and its
+  index from the end; the number is attached on the left when counting
+  from the start wins (or ties) and on the right when counting from the
+  end wins ("ar4").
 
 Grams are produced by padding the word with k-1 sentinel characters on
 each side, sliding a window of width k, and stripping the sentinels from
 each emitted gram.  With k = 2 the word ``rosmarin`` therefore yields
-``r, ro, os, sm, ma, ar, ri, in, n``.
+``r, ro, os, sm, ma, ar, ri, in, n``.  Words cannot contain digits, so
+stripping the digits from a token recovers its gram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ConfigError, InvalidWordError
 
@@ -29,7 +31,6 @@ from .errors import ConfigError, InvalidWordError
 _SENTINEL = "\x00"
 
 MODES = ("plain", "one_end", "two_end")
-ANCHORS = ("none", "left", "right")
 
 
 def normalize_word(text: str) -> str:
@@ -55,39 +56,6 @@ def normalize_word(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class Shingle:
-    """One gram with an optional positional anchor.
-
-    The canonical token prepends the position for a left anchor ("2ro"),
-    appends it for a right anchor ("ar4"), and is the bare gram when
-    unanchored.
-    """
-
-    gram: str
-    anchor: str = "none"
-    position: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.anchor not in ANCHORS:
-            raise ConfigError(f"unknown anchor {self.anchor!r}")
-        if self.anchor == "none":
-            if self.position is not None:
-                raise ConfigError("unanchored shingles carry no position")
-        elif self.position is None or self.position < 1:
-            raise ConfigError("anchored shingles need a position >= 1")
-        if not self.gram:
-            raise ConfigError("gram must be non-empty")
-
-    @property
-    def token(self) -> str:
-        if self.anchor == "left":
-            return f"{self.position}{self.gram}"
-        if self.anchor == "right":
-            return f"{self.gram}{self.position}"
-        return self.gram
-
-
-@dataclass(frozen=True)
 class ShinglerConfig:
     """Gram sizes plus splitting mode; the unit of compatibility between sets."""
 
@@ -107,29 +75,18 @@ class ShinglerConfig:
 
 
 class ShingleSet:
-    """Ordered, duplicate-free collection of shingles from one word.
+    """Ordered, duplicate-free tokens of one word; a token's first occurrence wins."""
 
-    Membership and equality are decided by canonical token; the first
-    occurrence of a token wins and generation order is preserved.
-    """
+    __slots__ = ("tokens", "token_set", "source_word", "config")
 
-    __slots__ = ("members", "tokens", "token_set", "source_word", "config")
-
-    def __init__(self, members: Iterable[Shingle], source_word: str, config: ShinglerConfig):
-        unique: dict[str, Shingle] = {}
-        for member in members:
-            unique.setdefault(member.token, member)
-        self.members: tuple[Shingle, ...] = tuple(unique.values())
-        self.tokens: tuple[str, ...] = tuple(unique.keys())
-        self.token_set: frozenset[str] = frozenset(unique.keys())
+    def __init__(self, tokens: Iterable[str], source_word: str, config: ShinglerConfig):
+        self.tokens: tuple[str, ...] = tuple(dict.fromkeys(tokens))
+        self.token_set: frozenset[str] = frozenset(self.tokens)
         self.source_word = source_word
         self.config = config
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Shingle]:
-        return iter(self.members)
+        return len(self.tokens)
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_set
@@ -150,11 +107,6 @@ class ShingleSet:
         return f"ShingleSet({self.source_word!r}, {{{', '.join(self.tokens)}}})"
 
 
-def _check_gram_size(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ConfigError(f"gram size must be an integer >= 2, got {k!r}")
-
-
 def _grams(word: str, k: int) -> list[str]:
     """Unique sentinel-stripped k-grams of ``word`` in emission order."""
     padded = _SENTINEL * (k - 1) + word + _SENTINEL * (k - 1)
@@ -166,62 +118,28 @@ def _grams(word: str, k: int) -> list[str]:
     return list(dict.fromkeys(grams))
 
 
-def shingle_plain(word: str, k: int) -> ShingleSet:
-    """Split ``word`` into unanchored k-grams."""
-    _check_gram_size(k)
-    word = normalize_word(word)
-    members = [Shingle(g) for g in _grams(word, k)]
-    return ShingleSet(members, word, ShinglerConfig((k,), "plain"))
-
-
-def shingle_one_end(word: str, k: int) -> ShingleSet:
-    """Split ``word`` into k-grams numbered from the start of the sequence."""
-    _check_gram_size(k)
-    word = normalize_word(word)
-    members = [Shingle(g, "left", i) for i, g in enumerate(_grams(word, k), 1)]
-    return ShingleSet(members, word, ShinglerConfig((k,), "one_end"))
-
-
-def shingle_two_end(word: str, k: int) -> ShingleSet:
-    """Split ``word`` into k-grams numbered from the nearer of both ends.
-
-    For gram i of m the mirrored index is j = m - i + 1.  The smaller of
-    the two is kept: a left anchor for i < j, a right anchor for i > j,
-    and the left one by convention when they tie.
-    """
-    _check_gram_size(k)
-    word = normalize_word(word)
-    grams = _grams(word, k)
-    m = len(grams)
-    members = []
-    for i, gram in enumerate(grams, 1):
-        j = m - i + 1
-        if i <= j:
-            members.append(Shingle(gram, "left", i))
-        else:
-            members.append(Shingle(gram, "right", j))
-    return ShingleSet(members, word, ShinglerConfig((k,), "two_end"))
-
-
-_VARIANTS = {
-    "plain": shingle_plain,
-    "one_end": shingle_one_end,
-    "two_end": shingle_two_end,
-}
-
-
 def shingle(word: str, config: ShinglerConfig) -> ShingleSet:
-    """Apply the configured mode for every gram size and union the results.
+    """Tokens of ``word`` for every configured gram size, smaller sizes first.
 
-    Smaller gram sizes come first; duplicate tokens collapse onto their
-    first occurrence.
+    Gram i of m is numbered i from the left, or in ``two_end`` mode
+    m - i + 1 from the right when that is smaller.
     """
     word = normalize_word(word)
-    variant = _VARIANTS[config.mode]
-    members: list[Shingle] = []
+    mode = config.mode
+    tokens: list[str] = []
     for k in config.gram_sizes:
-        members.extend(variant(word, k).members)
-    return ShingleSet(members, word, config)
+        grams = _grams(word, k)
+        if mode == "plain":
+            tokens.extend(grams)
+            continue
+        m = len(grams)
+        for i, gram in enumerate(grams, 1):
+            j = m - i + 1
+            if mode == "one_end" or i <= j:
+                tokens.append(f"{i}{gram}")
+            else:
+                tokens.append(f"{gram}{j}")
+    return ShingleSet(tokens, word, config)
 
 
 def intersect(a: ShingleSet, b: ShingleSet) -> ShingleSet:
@@ -232,5 +150,5 @@ def intersect(a: ShingleSet, b: ShingleSet) -> ShingleSet:
             f"{a.config} vs {b.config}"
         )
     return ShingleSet(
-        [m for m in a.members if m.token in b.token_set], a.source_word, a.config
+        [t for t in a.tokens if t in b.token_set], a.source_word, a.config
     )

@@ -31,9 +31,6 @@ from cognatekit import (
     intersect,
     rank,
     shingle,
-    shingle_one_end,
-    shingle_plain,
-    shingle_two_end,
     sim,
     train_error_model,
     train_scorer,
@@ -45,7 +42,9 @@ from cognatekit.persistence import load_model, save_model
 from conftest import make_synthetic_pairs, random_word
 
 TWO_END = ShinglerConfig((2,), "two_end")
+ONE_END = ShinglerConfig((2,), "one_end")
 PLAIN2 = ShinglerConfig((2,), "plain")
+DIGITS = "0123456789"
 
 LANGUAGE_PAIRS = ("ro-it", "ro-fr", "ro-es", "ro-pt")
 HEADLINE_ACCURACY = {"ro-it": 0.88, "ro-fr": 0.89, "ro-es": 0.87, "ro-pt": 0.80}
@@ -88,19 +87,19 @@ def cached_run(key, factory):
 
 class TestCriterion1GoldenShingles:
     def test_golden_split_sets(self):
-        assert shingle_plain("rosmarin", 2).tokens == (
+        assert shingle("rosmarin", PLAIN2).tokens == (
             "r", "ro", "os", "sm", "ma", "ar", "ri", "in", "n",
         )
-        assert shingle_one_end("rosmarin", 2).tokens == (
+        assert shingle("rosmarin", ONE_END).tokens == (
             "1r", "2ro", "3os", "4sm", "5ma", "6ar", "7ri", "8in", "9n",
         )
-        assert shingle_two_end("rosmarin", 2).tokens == (
+        assert shingle("rosmarin", TWO_END).tokens == (
             "1r", "2ro", "3os", "4sm", "5ma", "ar4", "ri3", "in2", "n1",
         )
-        assert shingle_two_end("romarin", 2).tokens == (
+        assert shingle("romarin", TWO_END).tokens == (
             "1r", "2ro", "3om", "4ma", "ar4", "ri3", "in2", "n1",
         )
-        overlap = intersect(shingle_two_end("rosmarin", 2), shingle_two_end("romarin", 2))
+        overlap = intersect(shingle("rosmarin", TWO_END), shingle("romarin", TWO_END))
         assert overlap.tokens == ("1r", "2ro", "ar4", "ri3", "in2", "n1")
         ok(1, "golden split sets and six-token intersection match exactly")
 
@@ -112,9 +111,9 @@ class TestCriterion1GoldenShingles:
 
 class TestCriterion2GoldenGraphs:
     def test_golden_graphs(self):
-        graph = build_graph(shingle_two_end("mesia", 2), shingle_two_end("messia", 2))
+        graph = build_graph(shingle("mesia", TWO_END), shingle("messia", TWO_END))
         assert graph.edges == ((EMPTY_TOKEN, "4ss"),)
-        same = shingle_two_end("noche", 2)
+        same = shingle("noche", TWO_END)
         assert build_graph(same, same).edges == ((EMPTY_TOKEN, EMPTY_TOKEN),)
         ok(2, "single-insertion and identical-word graphs match exactly")
 
@@ -144,9 +143,11 @@ class TestCriterion3Properties:
         for _ in range(N_CASES):
             word = random_word(rng)
             k = rng.randint(2, 3)
-            plain = list(shingle_plain(word, k).tokens)
-            for variant in (shingle_one_end, shingle_two_end):
-                grams = list(dict.fromkeys(s.gram for s in variant(word, k)))
+            plain = list(shingle(word, ShinglerConfig((k,), "plain")).tokens)
+            for mode in ("one_end", "two_end"):
+                tokens = shingle(word, ShinglerConfig((k,), mode)).tokens
+                # positions are digits, which words cannot contain
+                grams = list(dict.fromkeys(t.strip(DIGITS) for t in tokens))
                 assert grams == plain
         ok(3, f"position-strip invariance over {N_CASES} random cases")
 

@@ -74,6 +74,9 @@ class TestTrainCommand:
         assert code == 2
 
 
+NAN = float("nan")
+
+
 class TestClassifyCommand:
     def test_prints_label_and_score(self, model_file, capsys):
         assert main(["classify", "mesia", "messia", "--model", str(model_file)]) == 0
@@ -84,6 +87,33 @@ class TestClassifyCommand:
 
     def test_missing_model_is_data_error(self, tmp_path):
         assert main(["classify", "a", "b", "--model", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("error_model", "shingler_config", "gram_sizes"), [1]),
+            (("sim_min",), NAN),
+            (("index_words",), []),
+            (("index_words",), ["a b"]),
+            (("error_model", "alpha"), NAN),
+            (("score_config", "ranker", "mu"), NAN),
+            (("index_words",), "abc"),
+            (("sim_max",), None),
+        ],
+        ids=[
+            "gram-size-1", "nan-sim-min", "empty-index", "index-word-with-space",
+            "nan-alpha", "nan-mu", "index-words-string", "one-bound-only",
+        ],
+    )
+    def test_bad_model_values_are_data_errors(self, model_file, keys, value, capsys):
+        payload = json.loads(model_file.read_text())
+        holder = payload
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = value
+        model_file.write_text(json.dumps(payload))
+        assert main(["classify", "mesia", "messia", "--model", str(model_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRankCommand:

@@ -9,8 +9,7 @@ from cognatekit import (
     ShinglerConfig,
     TrainingError,
     build_graph,
-    shingle_plain,
-    shingle_two_end,
+    shingle,
     train_error_model,
 )
 from cognatekit.error_model import EMPTY_TOKEN, model_from_dict
@@ -18,10 +17,11 @@ from cognatekit.error_model import EMPTY_TOKEN, model_from_dict
 from conftest import random_word
 
 CONFIG = ShinglerConfig((2,), "two_end")
+PLAIN2 = ShinglerConfig((2,), "plain")
 
 
 def two_end(word):
-    return shingle_two_end(word, 2)
+    return shingle(word, CONFIG)
 
 
 def brute_force_leftovers(a, b):
@@ -72,7 +72,7 @@ class TestBuildGraph:
 
     def test_mismatched_configs_rejected(self):
         with pytest.raises(ConfigError):
-            build_graph(shingle_plain("mesia", 2), two_end("messia"))
+            build_graph(shingle("mesia", PLAIN2), two_end("messia"))
 
 
 class TestTrain:
@@ -111,6 +111,10 @@ class TestTrain:
             train_error_model([("a", "b")], CONFIG, alpha=0.0)
         with pytest.raises(ConfigError):
             train_error_model([("a", "b")], CONFIG, power=0.0)
+        for name in ("alpha", "power"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigError):
+                    train_error_model([("a", "b")], CONFIG, **{name: value})
 
 
 class TestEdgeProb:
@@ -187,7 +191,7 @@ class TestTransformationScore:
         model = train_error_model([("mesia", "messia")], CONFIG)
         with pytest.raises(ConfigError):
             model.transformation_score(
-                shingle_plain("mesia", 2), shingle_plain("messia", 2)
+                shingle("mesia", PLAIN2), shingle("messia", PLAIN2)
             )
 
 

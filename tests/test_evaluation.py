@@ -201,6 +201,29 @@ class TestEvalMrr:
         with pytest.raises(DataError, match="missing"):
             eval_mrr(IdentitySystem(), pairs, ["aa", "bb"])
 
+    def test_sum_is_left_to_right(self):
+        # many distinct reciprocals: a compensated sum() would round differently
+        lexicon = [chr(97 + i // 26) + chr(97 + i % 26) for i in range(300)]
+        rng = random.Random(11)
+        wanted = {}
+
+        class PlacesTarget:
+            def rank(self, query, words, k=None):
+                order = [w for w in words if w != query]
+                order.insert(wanted[query] - 1, query)
+                return [(w, -float(i)) for i, w in enumerate(order)]
+
+        pairs = []
+        for word in lexicon[:200]:
+            wanted[word] = rng.randint(1, len(lexicon))
+            pairs.append(LabeledPair(word, word, True))
+        mrr, ranks = eval_mrr(PlacesTarget(), pairs, lexicon)
+        assert ranks == [wanted[p.source] for p in pairs]
+        total = 0.0
+        for r in ranks:
+            total += 1.0 / r
+        assert mrr == total / len(ranks)
+
     def test_exact_lexicon_with_identity_scorer(self):
         pairs = [LabeledPair(w, w, True) for w in ("aa", "bb", "cc")]
         mrr, _ = eval_mrr(IdentitySystem(), pairs, ["aa", "bb", "cc"])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -52,9 +53,11 @@ def oracle_sim(query, doc, index, params):
             )
         return total
     if f == "dirichlet":
+        # collection frequencies counted here, not read from the index
+        cf = Counter(t for _, doc in index.docs for t in doc.tokens)
         total = len(q) * math.log(params.mu / (params.mu + len(d)))
         for t in sorted(inter):
-            p = (index.cf.get(t, 0) + 1) / (index.total_cf + index.vocabulary_size + 1)
+            p = (cf[t] + 1) / (sum(cf.values()) + len(cf) + 1)
             total += math.log(1 + 1 / (params.mu * p))
         return total
     raise AssertionError(f)
@@ -79,7 +82,8 @@ class TestIndex:
 
     def test_collection_totals(self):
         index = build_index(["noche", "nacht", "notte"], PLAIN2)
-        assert index.total_cf == sum(index.cf.values())
+        cf = Counter(t for _, doc in index.docs for t in doc.tokens)
+        assert index.total_len == sum(cf.values())
         assert index.avgdl == pytest.approx(6.0)
         assert index.vocabulary_size == 13
 
@@ -170,6 +174,10 @@ class TestSim:
             RankerParams("bm25", b=1.5)
         with pytest.raises(ConfigError):
             RankerParams("dirichlet", mu=0)
+        for name in ("k1", "b", "mu"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError):
+                    RankerParams("bm25", **{name: value})
 
 
 class TestMicroCorpus:

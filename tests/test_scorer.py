@@ -19,6 +19,7 @@ from cognatekit import (
     train_error_model,
     train_scorer,
 )
+from cognatekit.scorer import _blend, _normalize
 
 from conftest import random_word
 
@@ -70,8 +71,7 @@ class TestCombinedScore:
         assert scorer.combined_score(s, t) == expected
 
     def test_blend_arithmetic(self):
-        scorer = toy_scorer(sim_weight=0.6)
-        assert scorer.blend(0.5, 2 / 3) == pytest.approx(0.5666666666666667, abs=1e-12)
+        assert _blend(0.6, [0.5], [2 / 3])[0] == pytest.approx(0.5666666666666667, abs=1e-12)
 
     def test_always_in_unit_interval(self):
         scorer, _ = fitted_scorer()
@@ -100,9 +100,8 @@ class TestCombinedScore:
             assert values[1] == pytest.approx((values[0] + values[2]) / 2, abs=1e-12)
 
     def test_monotone_in_each_part(self):
-        scorer = toy_scorer(sim_weight=0.6)
-        assert scorer.blend(0.8, 0.3) > scorer.blend(0.5, 0.3)
-        assert scorer.blend(0.5, 0.7) > scorer.blend(0.5, 0.3)
+        assert _blend(0.6, [0.8], [0.3])[0] > _blend(0.6, [0.5], [0.3])[0]
+        assert _blend(0.6, [0.5], [0.7])[0] > _blend(0.6, [0.5], [0.3])[0]
 
     def test_trained_mode_requires_bounds(self):
         model = train_error_model([("mesia", "messia")], TWO_END)
@@ -115,6 +114,20 @@ class TestCombinedScore:
         scorer, triples = fitted_scorer()
         # far outside anything seen in training: raw sim clamps into [0, 1]
         assert 0.0 <= scorer.score_pair("zzzzzz", "zzzzzz") <= 1.0
+
+    def test_normalize_with_own_bounds_equals_unclamped_quotient(self):
+        # the clamp is a no-op for per-query bounds, bit for bit
+        rng = random.Random(37)
+        for _ in range(1000):
+            n = rng.randint(1, 40)
+            pool = [rng.uniform(-60.0, 5.0) for _ in range(rng.randint(1, n))]
+            raws = [rng.choice(pool) for _ in range(n)]
+            lo, hi = min(raws), max(raws)
+            if hi > lo:
+                expected = [(r - lo) / (hi - lo) for r in raws]
+            else:
+                expected = [0.5] * n
+            assert _normalize(raws, lo, hi) == expected
 
     def test_per_query_singleton_comparison_uses_midpoint(self):
         scorer = toy_scorer(sim_weight=0.6, normalization="per_query_minmax")
@@ -229,6 +242,14 @@ class TestTrainScorer:
         with pytest.raises(TrainingError):
             train_scorer([], TWO_END, RankerParams("dice"))
 
+    @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
+    def test_threshold_learned_from_the_scoring_formula(self, sim_weight):
+        scorer, triples = fitted_scorer(sim_weight=sim_weight)
+        sets = [(shingle(s, TWO_END), shingle(t, TWO_END), label) for s, t, label in triples]
+        scores = [scorer.combined_score(s, t) for s, t, _ in sets]
+        expected = learn_threshold(scores, [label for _, _, label in sets])
+        assert scorer.config.threshold == expected
+
     def test_explicit_threshold_respected(self):
         scorer, _ = fitted_scorer(threshold=0.25)
         assert scorer.config.threshold == 0.25
@@ -248,3 +269,6 @@ class TestScoreConfig:
         index = build_index(["messia"], TWO_END)
         with pytest.raises(TrainingError):
             CombinedScorer(ScoreConfig(), model, index, sim_min=1.0, sim_max=1.0)
+        for bounds in ((float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)):
+            with pytest.raises(TrainingError):
+                CombinedScorer(ScoreConfig(), model, index, *bounds)

@@ -2,23 +2,33 @@
 
 import math
 import random
+import re
 
 import pytest
 
 from cognatekit import (
     ConfigError,
     InvalidWordError,
-    Shingle,
     ShinglerConfig,
     intersect,
     normalize_word,
     shingle,
-    shingle_one_end,
-    shingle_plain,
-    shingle_two_end,
 )
 
 from conftest import random_word
+
+DIGITS = "0123456789"
+
+
+def split_k(word, k, mode):
+    """``shingle`` with a single gram size."""
+    return shingle(word, ShinglerConfig((k,), mode))
+
+
+def position(token):
+    """A token's anchor number: its leading or trailing digits (words have none)."""
+    left, _, right = re.fullmatch(r"(\d*)(\D+)(\d*)", token).groups()
+    return int(left or right)
 
 
 def brute_force_plain_grams(word, k):
@@ -62,15 +72,15 @@ class TestNormalizeWord:
 
 class TestPlain:
     def test_rosmarin_bigrams(self):
-        assert shingle_plain("rosmarin", 2).tokens == (
+        assert split_k("rosmarin", 2, "plain").tokens == (
             "r", "ro", "os", "sm", "ma", "ar", "ri", "in", "n",
         )
 
     def test_single_letter_collapses(self):
-        assert shingle_plain("a", 2).tokens == ("a",)
+        assert split_k("a", 2, "plain").tokens == ("a",)
 
     def test_noche_trigrams(self):
-        assert shingle_plain("noche", 3).tokens == (
+        assert split_k("noche", 3, "plain").tokens == (
             "n", "no", "noc", "och", "che", "he", "e",
         )
 
@@ -79,54 +89,54 @@ class TestPlain:
         for _ in range(300):
             word = random_word(rng)
             k = rng.randint(2, 4)
-            assert list(shingle_plain(word, k).tokens) == brute_force_plain_grams(word, k)
+            assert list(split_k(word, k, "plain").tokens) == brute_force_plain_grams(word, k)
 
     def test_bigram_count_is_length_plus_one_before_dedup(self):
         # distinct-gram words show the raw count directly
-        assert len(shingle_plain("rosmarin", 2)) == len("rosmarin") + 1
+        assert len(split_k("rosmarin", 2, "plain")) == len("rosmarin") + 1
 
     def test_rejects_gram_size_below_two(self):
         with pytest.raises(ConfigError):
-            shingle_plain("rosmarin", 1)
+            split_k("rosmarin", 1, "plain")
 
 
 class TestOneEnd:
     def test_rosmarin(self):
-        assert shingle_one_end("rosmarin", 2).tokens == (
+        assert split_k("rosmarin", 2, "one_end").tokens == (
             "1r", "2ro", "3os", "4sm", "5ma", "6ar", "7ri", "8in", "9n",
         )
 
     def test_romarin(self):
-        assert shingle_one_end("romarin", 2).tokens == (
+        assert split_k("romarin", 2, "one_end").tokens == (
             "1r", "2ro", "3om", "4ma", "5ar", "6ri", "7in", "8n",
         )
 
     def test_single_gram_gets_position_one(self):
-        assert shingle_one_end("a", 2).tokens == ("1a",)
+        assert split_k("a", 2, "one_end").tokens == ("1a",)
 
 
 class TestTwoEnd:
     def test_romarin(self):
-        assert shingle_two_end("romarin", 2).tokens == (
+        assert split_k("romarin", 2, "two_end").tokens == (
             "1r", "2ro", "3om", "4ma", "ar4", "ri3", "in2", "n1",
         )
 
     def test_rosmarin_middle_gram_takes_left_position(self):
-        assert shingle_two_end("rosmarin", 2).tokens == (
+        assert split_k("rosmarin", 2, "two_end").tokens == (
             "1r", "2ro", "3os", "4sm", "5ma", "ar4", "ri3", "in2", "n1",
         )
 
     def test_single_gram(self):
-        assert shingle_two_end("a", 2).tokens == ("1a",)
+        assert split_k("a", 2, "two_end").tokens == ("1a",)
 
     def test_anchor_balance(self):
         rng = random.Random(202)
         for _ in range(300):
             word = random_word(rng)
-            result = shingle_two_end(word, 2)
+            result = split_k(word, 2, "two_end").tokens
             m = len(result)
-            lefts = sum(s.anchor == "left" for s in result)
-            rights = sum(s.anchor == "right" for s in result)
+            lefts = sum(token[0].isdigit() for token in result)
+            rights = sum(token[-1].isdigit() for token in result)
             assert lefts == math.ceil(m / 2)
             assert rights == m // 2
 
@@ -134,11 +144,11 @@ class TestTwoEnd:
         rng = random.Random(203)
         for _ in range(300):
             word = random_word(rng)
-            two = shingle_two_end(word, 2)
+            two = split_k(word, 2, "two_end").tokens
             m = len(two)
-            assert all(1 <= s.position <= math.ceil(m / 2) for s in two)
-            one = shingle_one_end(word, 2)
-            assert all(1 <= s.position <= len(one) for s in one)
+            assert all(1 <= position(t) <= math.ceil(m / 2) for t in two)
+            one = split_k(word, 2, "one_end").tokens
+            assert all(1 <= position(t) <= len(one) for t in one)
 
 
 class TestDispatch:
@@ -148,12 +158,13 @@ class TestDispatch:
 
     def test_plain_dispatch_matches_variant(self):
         config = ShinglerConfig((2,), "plain")
-        assert shingle("rosmarin", config).tokens == shingle_plain("rosmarin", 2).tokens
+        expected = tuple(brute_force_plain_grams("rosmarin", 2))
+        assert shingle("rosmarin", config).tokens == expected
 
     def test_multi_size_union_is_superset(self):
         config = ShinglerConfig((2, 3), "two_end")
         merged = shingle("rosmarin", config)
-        bigram_only = set(shingle_two_end("rosmarin", 2).tokens)
+        bigram_only = set(split_k("rosmarin", 2, "two_end").tokens)
         assert bigram_only <= set(merged.tokens)
 
     def test_multi_size_union_matches_brute_force(self):
@@ -164,7 +175,7 @@ class TestDispatch:
             merged = shingle(word, config)
             expected = []
             for k in (2, 3):
-                for token in shingle_two_end(word, k).tokens:
+                for token in split_k(word, k, "two_end").tokens:
                     if token not in expected:
                         expected.append(token)
             assert list(merged.tokens) == expected
@@ -176,26 +187,27 @@ class TestDispatch:
 
 class TestIntersect:
     def test_two_end_overlap(self):
-        a = shingle_two_end("rosmarin", 2)
-        b = shingle_two_end("romarin", 2)
+        a = split_k("rosmarin", 2, "two_end")
+        b = split_k("romarin", 2, "two_end")
         assert intersect(a, b).tokens == ("1r", "2ro", "ar4", "ri3", "in2", "n1")
 
     def test_one_end_overlap_is_smaller(self):
-        a = shingle_one_end("rosmarin", 2)
-        b = shingle_one_end("romarin", 2)
+        a = split_k("rosmarin", 2, "one_end")
+        b = split_k("romarin", 2, "one_end")
         assert intersect(a, b).tokens == ("1r", "2ro")
 
     def test_idempotent(self):
-        x = shingle_two_end("noche", 2)
+        x = split_k("noche", 2, "two_end")
         assert intersect(x, x) == x
 
     def test_mismatched_configs_rejected(self):
         with pytest.raises(ConfigError):
-            intersect(shingle_plain("noche", 2), shingle_two_end("noche", 2))
+            intersect(split_k("noche", 2, "plain"), split_k("noche", 2, "two_end"))
 
     def test_two_end_at_least_as_robust_on_shifted_pair(self):
-        two = len(intersect(shingle_two_end("rosmarin", 2), shingle_two_end("romarin", 2)))
-        one = len(intersect(shingle_one_end("rosmarin", 2), shingle_one_end("romarin", 2)))
+        pair = ("rosmarin", "romarin")
+        two = len(intersect(*(split_k(word, 2, "two_end") for word in pair)))
+        one = len(intersect(*(split_k(word, 2, "one_end") for word in pair)))
         assert two >= one
 
 
@@ -205,9 +217,9 @@ class TestInvariants:
         for _ in range(500):
             word = random_word(rng)
             k = rng.randint(2, 3)
-            plain = list(shingle_plain(word, k).tokens)
-            for variant in (shingle_one_end, shingle_two_end):
-                grams = [s.gram for s in variant(word, k)]
+            plain = list(split_k(word, k, "plain").tokens)
+            for mode in ("one_end", "two_end"):
+                grams = [t.strip(DIGITS) for t in split_k(word, k, mode).tokens]
                 deduped = list(dict.fromkeys(grams))
                 assert deduped == plain
 
@@ -226,19 +238,6 @@ class TestTypes:
             word = random_word(rng)
             result = shingle(word, ShinglerConfig((2,), "two_end"))
             assert len(set(result.tokens)) == len(result.tokens)
-
-    def test_shingle_token_encoding(self):
-        assert Shingle("ro", "left", 2).token == "2ro"
-        assert Shingle("ar", "right", 4).token == "ar4"
-        assert Shingle("ro").token == "ro"
-
-    def test_shingle_validation(self):
-        with pytest.raises(ConfigError):
-            Shingle("ro", "none", 1)
-        with pytest.raises(ConfigError):
-            Shingle("ro", "left", None)
-        with pytest.raises(ConfigError):
-            Shingle("ro", "left", 0)
 
     def test_config_sorts_and_dedups_sizes(self):
         assert ShinglerConfig((3, 2, 2), "plain").gram_sizes == (2, 3)
