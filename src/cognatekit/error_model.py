@@ -99,6 +99,16 @@ def _mean_score(counts: Sequence[int], table: Mapping[int, float]) -> float:
     return total / len(counts)
 
 
+def _mean_ceiling(table: Mapping[int, float], edges: int) -> float:
+    """Upper bound on ``_mean_score`` over at most ``edges`` counts.
+
+    The additions and the division each round up by at most a factor
+    (1 + 2**-53); (1 + 2**-53) ** edges <= 1 + edges * 2**-52, a float
+    held exactly, and ``nextafter`` covers rounding the product.
+    """
+    return math.nextafter(max(table.values()) * (1.0 + edges * 2.0**-52), math.inf)
+
+
 def _encode_edge(edge) -> str:
     u, v = edge
     return f"{u or ''}\t{v or ''}"
@@ -152,6 +162,14 @@ class ErrorModel:
             raise ConfigError("shingle sets do not match the model's shingler config")
         get = self.edge_counts.get
         return _mean_score([get(edge, 0) for edge in build_graph(s, t).edges], self._table)
+
+    def score_ceiling(self, max_tokens: int) -> float:
+        """Upper bound on ``transformation_score`` of sets with at most ``max_tokens`` tokens.
+
+        A graph has at most ``max_tokens ** 2`` edges, and as ``power`` > 0
+        the largest count has the largest value.
+        """
+        return _mean_ceiling(self._table, max_tokens * max_tokens)
 
     def score_words(self, source: str, target: str) -> float:
         return self.transformation_score(

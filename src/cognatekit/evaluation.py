@@ -30,6 +30,7 @@ from .ranking import (
     order_scored,
     rank,
     sim,
+    sim_all,
     target_rank,
 )
 from .scorer import CombinedScorer, _blend, _normalize, learn_threshold, train_scorer
@@ -442,11 +443,7 @@ class _FoldCache:
             params = self._params(mu, k1, b)
             cached = []
             for p in self.queries:
-                query = self.shared.shingle_set(p.source)
-                raw = [
-                    sim(query, doc, self.lexicon_index, params)
-                    for _, doc in self.lexicon_index.docs
-                ]
+                raw = sim_all(self.shared.shingle_set(p.source), self.lexicon_index, params)
                 cached.append(_normalize(raw, min(raw), max(raw)))
             self._norm_rows[key] = cached
         return cached

@@ -16,16 +16,29 @@ binary and the classic formulas specialize accordingly:
                     smoothing p(t|C) = (cf + 1) / (sum of |D| + |V| + 1),
                     where cf = df because term frequency is binary
 
-Scores add left to right from 0.0 in explicit loops: ``sum()`` over
-floats is compensated from Python 3.12, tying scores to the version.
+Scores add left to right in explicit loops: ``sum()`` over floats is
+compensated from Python 3.12, tying scores to the version.
+
+The index keeps postings: each token's document ids, in document order.
+:func:`sim_all` scores a query against every document by walking only
+the postings of the query's tokens.  Each weighted score is a length
+term (Dirichlet's ``|Q| * ln(mu / (mu + |D|))``, else ``0.0``), computed
+once per distinct ``|D|``, plus one weight per shared token; the set
+measures count shared tokens.  Tokens are visited in query order, so
+each document takes its weights in the order :func:`sim` adds them, from
+the same start: the summation order is unchanged and the floats equal
+``sim``'s.  xdice gets postings over extended bigram tokens on its first
+query.  With ``k``, :func:`order_scored` finds the k-th largest score
+with ``heapq.nlargest`` and sorts only the scores that reach it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import ConfigError, DataError, InvalidWordError
 from .shingling import ShinglerConfig, ShingleSet, normalize_word, shingle
@@ -66,6 +79,9 @@ class RankerParams:
 class LexiconIndex:
     """Inverted index with document and collection statistics.
 
+    ``postings`` maps each token to the ids (positions in ``docs``) of
+    the documents holding it, in document order; ``df`` is their count.
+    ``words`` and ``doc_lens`` give each document's word and token count.
     Duplicate words are kept as distinct documents; statistics reflect
     the list as given.
     """
@@ -74,19 +90,17 @@ class LexiconIndex:
         if not lexicon:
             raise ConfigError("lexicon must contain at least one word")
         self.config = config
-        self.docs: list[tuple[str, ShingleSet]] = []
-        df: Counter = Counter()
-        total_len = 0
-        for word in lexicon:
-            doc = shingle(word, config)
-            self.docs.append((doc.source_word, doc))
-            total_len += len(doc)
-            df.update(doc.tokens)
+        self.docs: list[tuple[str, ShingleSet]] = [
+            (doc.source_word, doc) for doc in (shingle(word, config) for word in lexicon)
+        ]
+        self.words = [word for word, _ in self.docs]
+        self.postings, self.doc_lens = _postings(doc.tokens for _, doc in self.docs)
+        self.df = {token: len(ids) for token, ids in self.postings.items()}
         self.doc_count = len(self.docs)
-        self.df = dict(df)
-        self.total_len = total_len
-        self.avgdl = total_len / self.doc_count
-        self.vocabulary_size = len(df)
+        self.total_len = sum(self.doc_lens)
+        self.avgdl = self.total_len / self.doc_count
+        self.vocabulary_size = len(self.postings)
+        self._xdice: Optional[tuple[dict[str, list[int]], list[int]]] = None
 
     def __len__(self) -> int:
         return self.doc_count
@@ -94,6 +108,23 @@ class LexiconIndex:
     def background_prob(self, token: str) -> float:
         """Add-one smoothed collection probability of a token."""
         return (self.df.get(token, 0) + 1) / (self.total_len + self.vocabulary_size + 1)
+
+    def xdice_postings(self) -> tuple[dict[str, list[int]], list[int]]:
+        """Postings and document lengths over extended bigram tokens, built on first use."""
+        if self._xdice is None:
+            self._xdice = _postings(extended_bigram_tokens(word) for word in self.words)
+        return self._xdice
+
+
+def _postings(token_sets: Iterable[Collection[str]]) -> tuple[dict[str, list[int]], list[int]]:
+    """Each token's ids (positions in ``token_sets``), ascending, and each set's size."""
+    postings: defaultdict[str, list[int]] = defaultdict(list)
+    sizes = []
+    for i, tokens in enumerate(token_sets):
+        sizes.append(len(tokens))
+        for token in tokens:
+            postings[token].append(i)
+    return dict(postings), sizes
 
 
 def build_index(lexicon: Sequence[str], config: ShinglerConfig) -> LexiconIndex:
@@ -112,11 +143,48 @@ def extended_bigram_tokens(word: str) -> frozenset[str]:
     return frozenset(tokens)
 
 
+# functions that weigh each shared token; the others count shared tokens
+_WEIGHTED = ("tfidf", "bm25", "dirichlet")
+
+
+def _count_score(function: str, shared: int, query_len: int, doc_len: int) -> float:
+    """Score of a set measure from the shared-token count and both set sizes."""
+    if function == "intersection":
+        return float(shared)
+    if function == "jaccard":
+        union = query_len + doc_len - shared
+        return shared / union if union else 0.0
+    # dice and xdice; two empty sets are equal
+    denom = query_len + doc_len
+    return 2.0 * shared / denom if denom else 1.0
+
+
 def _dice(a: frozenset[str], b: frozenset[str]) -> float:
-    denom = len(a) + len(b)
-    if denom == 0:
-        return 1.0 if a == b else 0.0
-    return 2.0 * len(a & b) / denom
+    return _count_score("dice", len(a & b), len(a), len(b))
+
+
+def _length_term(query_len: int, doc_len: int, params: RankerParams) -> float:
+    """A weighted score before any shared token: it depends on the lengths only."""
+    if params.function == "dirichlet":
+        mu = params.mu
+        return query_len * math.log(mu / (mu + doc_len))
+    return 0.0
+
+
+def _term_weight(token: str, doc_len: int, index: LexiconIndex, params: RankerParams) -> float:
+    """What one shared token adds to a weighted score."""
+    function = params.function
+    n = index.doc_count
+    if function == "tfidf":
+        # df can only be 0 for a document outside the index; score such
+        # tokens like the rarest indexable ones instead of diverging.
+        return math.log(1.0 + n / max(index.df.get(token, 0), 1))
+    if function == "bm25":
+        df = index.df.get(token, 0)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        norm = 1.0 + params.k1 * (1.0 - params.b + params.b * doc_len / index.avgdl)
+        return idf * (params.k1 + 1.0) / norm
+    return math.log(1.0 + 1.0 / (params.mu * index.background_prob(token)))
 
 
 def sim(
@@ -135,37 +203,50 @@ def sim(
     # shared tokens in query generation order: summation order must not
     # depend on set iteration, or scores drift across processes
     shared = [t for t in query.tokens if t in doc.token_set]
-    if function == "intersection":
-        return float(len(shared))
-    if function == "jaccard":
-        union = len(query.token_set | doc.token_set)
-        return len(shared) / union if union else 0.0
-    if function == "dice":
-        return _dice(query.token_set, doc.token_set)
-    if function == "tfidf":
-        n = index.doc_count
-        # df can only be 0 for a document outside the index; score such
-        # tokens like the rarest indexable ones instead of diverging.
-        score = 0.0
-        for token in shared:
-            score += math.log(1.0 + n / max(index.df.get(token, 0), 1))
-        return score
-    if function == "bm25":
-        n = index.doc_count
-        norm = 1.0 + params.k1 * (1.0 - params.b + params.b * len(doc) / index.avgdl)
-        score = 0.0
-        for token in shared:
-            df = index.df.get(token, 0)
-            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            score += idf * (params.k1 + 1.0) / norm
-        return score
-    if function == "dirichlet":
-        mu = params.mu
-        score = len(query) * math.log(mu / (mu + len(doc)))
-        for token in shared:
-            score += math.log(1.0 + 1.0 / (mu * index.background_prob(token)))
-        return score
-    raise ConfigError(f"unknown ranking function {function!r}")
+    if function not in _WEIGHTED:
+        return _count_score(function, len(shared), len(query), len(doc))
+    doc_len = len(doc)
+    score = _length_term(len(query), doc_len, params)
+    for token in shared:
+        score += _term_weight(token, doc_len, index, params)
+    return score
+
+
+def sim_all(query: ShingleSet, index: LexiconIndex, params: RankerParams) -> list[float]:
+    """:func:`sim` of ``query`` against every document, in document order.
+
+    Walks the postings of the query's tokens only.  Each document starts
+    at its length term and takes its shared tokens' weights in query
+    token order, as in :func:`sim`, so the floats are the same.
+    """
+    function = params.function
+    if function == "xdice":
+        postings, lens = index.xdice_postings()
+        tokens = extended_bigram_tokens(query.source_word)
+    else:
+        postings, lens, tokens = index.postings, index.doc_lens, query.tokens
+    if function not in _WEIGHTED:
+        shared = [0] * len(lens)
+        for token in tokens:
+            for i in postings.get(token, ()):
+                shared[i] += 1
+        q = len(tokens)
+        return [_count_score(function, c, q, n) for c, n in zip(shared, lens)]
+    start = {n: _length_term(len(query), n, params) for n in set(lens)}
+    scores = [start[n] for n in lens]
+    for token in tokens:
+        ids = postings.get(token)
+        if ids is None:
+            continue
+        weight = {n: _term_weight(token, n, index, params) for n in start}
+        for i in ids:
+            scores[i] += weight[lens[i]]
+    return scores
+
+
+def _check_top(k: Optional[int]) -> None:
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
 
 
 def order_scored(
@@ -176,11 +257,15 @@ def order_scored(
     """Apply the shared ordering rule to scored words.
 
     Descending score; ties broken by ascending word, then by original
-    position.  ``k`` truncates the result.
+    position.  ``k`` (at least 1) keeps the first k: only the scores that
+    reach the k-th largest are sorted.
     """
-    order = sorted(range(len(words)), key=lambda i: (-scores[i], words[i], i))
-    if k is not None:
-        order = order[:k]
+    _check_top(k)
+    ids = range(len(words))
+    if k is not None and k < len(words):
+        kth = heapq.nlargest(k, scores)[-1]
+        ids = [i for i in ids if scores[i] >= kth]
+    order = sorted(ids, key=lambda i: (-scores[i], words[i], i))[:k]
     return [(words[i], scores[i]) for i in order]
 
 
@@ -213,19 +298,28 @@ def rank(
     scorer=None,
     k: Optional[int] = None,
 ) -> list[tuple[str, float]]:
-    """Score every indexed word against ``query`` and sort.
+    """Score the indexed words against ``query`` and sort.
 
     With a plain :class:`RankerParams` the raw similarity is used; with a
-    combined scorer (see :mod:`cognatekit.scorer`) the blended score is.
+    combined scorer (see :mod:`cognatekit.scorer`) the blended score is,
+    and with ``k`` only the documents that can still reach the top k get
+    a transformation score.
     """
+    _check_top(k)
     query_set = shingle(query, index.config)
+    words = index.words
     if scorer is not None:
-        scores = scorer.score_candidates(query_set, index)
+        if k is None:
+            scores = scorer.score_candidates(query_set, index)
+        else:
+            scored = scorer.score_top(query_set, index, k)
+            ids = sorted(scored)
+            words = [words[i] for i in ids]
+            scores = [scored[i] for i in ids]
     elif params is not None:
-        scores = [sim(query_set, doc, index, params) for _, doc in index.docs]
+        scores = sim_all(query_set, index, params)
     else:
         raise ConfigError("rank needs ranker params or a combined scorer")
-    words = [word for word, _ in index.docs]
     return order_scored(words, scores, k)
 
 
@@ -233,7 +327,8 @@ def load_lexicon(path) -> list[str]:
     """Read a one-word-per-line UTF-8 lexicon.
 
     Blank lines and lines starting with '#' are ignored.  Invalid words
-    raise :class:`DataError` with their line number.
+    raise :class:`DataError` with their line number, and so does a file
+    that holds no word.
     """
     words = []
     try:
@@ -249,4 +344,6 @@ def load_lexicon(path) -> list[str]:
                 words.append(normalize_word(line))
             except InvalidWordError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not words:
+        raise DataError(f"lexicon file {path} holds no word")
     return words

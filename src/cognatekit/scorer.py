@@ -18,13 +18,14 @@ have lo <= r <= hi, and rounding is monotone, so 0 <= r - lo <= hi - lo.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .errors import ConfigError, TrainingError
 from .error_model import ErrorModel, train_error_model
-from .ranking import LexiconIndex, RankerParams, build_index, sim
+from .ranking import LexiconIndex, RankerParams, build_index, sim, sim_all
 from .shingling import ShinglerConfig, ShingleSet, shingle
 
 NORMALIZATION_MODES = ("per_query_minmax", "trained_minmax")
@@ -35,7 +36,8 @@ def _normalize(raws: Sequence[float], lo: float, hi: float) -> list[float]:
     if not hi > lo:
         return [0.5] * len(raws)
     span = hi - lo
-    return [min(1.0, max(0.0, (r - lo) / span)) for r in raws]
+    # min(1.0, max(0.0, x)) without two calls per element
+    return [(x if x < 1.0 else 1.0) if x > 0.0 else 0.0 for x in [(r - lo) / span for r in raws]]
 
 
 def _blend(weight: float, norms: Sequence[float], trans: Sequence[float]) -> Sequence[float]:
@@ -121,12 +123,12 @@ class CombinedScorer:
         set, so its bounds coincide, its normalized similarity is 0.5
         and the transformation score decides.
         """
-        if self.config.normalization == "trained_minmax":
-            raws = [sim(s, t, self.index, self.config.ranker)]
-            norms = _normalize(raws, *self._trained_bounds())
-        else:
-            norms = [0.5]
         w = self.config.sim_weight
+        norms = [0.5]
+        if self.config.normalization == "trained_minmax":
+            bounds = self._trained_bounds()
+            if w > 0.0:
+                norms = _normalize([sim(s, t, self.index, self.config.ranker)], *bounds)
         trans = [] if w == 1.0 else [self.error_model.transformation_score(s, t)]
         return _blend(w, norms, trans)[0]
 
@@ -138,21 +140,57 @@ class CombinedScorer:
         """True when the pair's blended score reaches the threshold."""
         return self.score_pair(source, target) >= self.config.threshold
 
-    def score_candidates(self, query: ShingleSet, index: LexiconIndex) -> list[float]:
-        """Blended scores for every document of ``index``, in document order."""
+    def _check_index(self, index: LexiconIndex) -> None:
         if index.config != self.shingler_config:
             raise ConfigError("index does not match the scorer's shingler config")
+
+    def _norm_sims(self, query: ShingleSet, index: LexiconIndex) -> list[float]:
+        raws = sim_all(query, index, self.config.ranker)
+        if self.config.normalization == "per_query_minmax":
+            return _normalize(raws, min(raws), max(raws))
+        return _normalize(raws, *self._trained_bounds())
+
+    def score_candidates(self, query: ShingleSet, index: LexiconIndex) -> list[float]:
+        """Blended scores for every document of ``index``, in document order."""
+        self._check_index(index)
         w = self.config.sim_weight
         norms = trans = []
         if w > 0.0:
-            raws = [sim(query, doc, index, self.config.ranker) for _, doc in index.docs]
-            if self.config.normalization == "per_query_minmax":
-                norms = _normalize(raws, min(raws), max(raws))
-            else:
-                norms = _normalize(raws, *self._trained_bounds())
+            norms = self._norm_sims(query, index)
         if w < 1.0:
             trans = [self.error_model.transformation_score(query, doc) for _, doc in index.docs]
         return _blend(w, norms, trans)
+
+    def score_top(self, query: ShingleSet, index: LexiconIndex, k: int) -> dict[int, float]:
+        """Blended scores, by document id, of documents that include the best ``k``.
+
+        A document's bound blends its normalized similarity with the
+        model's score ceiling; blending is monotone in each part, so no
+        score exceeds its bound.  The ``k`` documents with the largest
+        bounds are scored first: at least ``k`` scores reach their lowest
+        one, so a document whose bound is strictly below it cannot be in
+        the top ``k``.  Every other document whose bound reaches it is
+        scored too, as an equal score can still win on the word tie rule.
+        """
+        self._check_index(index)
+        w = self.config.sim_weight
+        if w in (0.0, 1.0):  # one part decides alone: no bound to prune with
+            return dict(enumerate(self.score_candidates(query, index)))
+        norms = self._norm_sims(query, index)
+        ceiling = self.error_model.score_ceiling(max(len(query), max(index.doc_lens)))
+        bounds = _blend(w, norms, [ceiling] * len(norms))
+
+        def blended(i: int) -> float:
+            trans = self.error_model.transformation_score(query, index.docs[i][1])
+            return _blend(w, [norms[i]], [trans])[0]
+
+        first = heapq.nlargest(k, range(len(bounds)), key=bounds.__getitem__)
+        scored = {i: blended(i) for i in first}
+        kth = min(scored.values())
+        for i, bound in enumerate(bounds):
+            if bound >= kth and i not in scored:
+                scored[i] = blended(i)
+        return scored
 
 
 def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:

@@ -145,6 +145,19 @@ class TestRankCommand:
     def test_requires_model_or_lexicon(self, capsys):
         assert main(["rank", "nuit"]) == 1
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_usage_error(self, tmp_path, k, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("noche\nnacht\nnotte\n")
+        assert main(["rank", "nuit", "--lexicon", str(lexicon), "-k", k]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_empty_lexicon_is_data_error(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("# no words\n")
+        assert main(["rank", "nuit", "--lexicon", str(lexicon)]) == 2
+        assert "lex.txt" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_report_schema(self, tmp_path, synthetic_dataset_file, capsys):
@@ -190,6 +203,17 @@ class TestEvalCommand:
         )
         assert code == 0
         assert "model:" in capsys.readouterr().out
+
+
+    def test_empty_lexicon_is_data_error(self, tmp_path, synthetic_dataset_file, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("")
+        code = main(
+            ["eval", "--dataset", str(synthetic_dataset_file), "--no-tune",
+             "--lexicon", str(lexicon)]
+        )
+        assert code == 2
+        assert "lex.txt" in capsys.readouterr().err
 
 
 class TestExitCodes:

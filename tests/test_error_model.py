@@ -12,7 +12,7 @@ from cognatekit import (
     shingle,
     train_error_model,
 )
-from cognatekit.error_model import EMPTY_TOKEN, model_from_dict
+from cognatekit.error_model import EMPTY_TOKEN, _mean_ceiling, _mean_score, model_from_dict
 
 from conftest import random_word
 
@@ -186,6 +186,26 @@ class TestTransformationScore:
                 for power in (0.25, 0.5, 1.0, 2.0, 4.0)
             ]
             assert all(x >= y for x, y in zip(scores, scores[1:]))
+
+    def test_mean_can_exceed_the_largest_value_but_not_the_ceiling(self):
+        # 0.1 + 0.1 + 0.1 rounds up: the mean of three 0.1s is above 0.1
+        assert _mean_score([7, 7, 7], {7: 0.1}) > 0.1
+        assert _mean_score([7, 7, 7], {7: 0.1}) <= _mean_ceiling({7: 0.1}, 3)
+        rng = random.Random(19)
+        for _ in range(2000):
+            table = {c: rng.random() for c in range(rng.randint(1, 4))}
+            counts = [rng.choice(list(table)) for _ in range(rng.randint(1, 60))]
+            assert _mean_score(counts, table) <= _mean_ceiling(table, len(counts))
+
+    def test_score_ceiling_bounds_every_pair(self):
+        rng = random.Random(20)
+        pairs = [(random_word(rng), random_word(rng)) for _ in range(20)]
+        for power in (0.25, 1.0, 4.0):
+            model = train_error_model(pairs, CONFIG, power=power)
+            for a, b in pairs + [(random_word(rng), random_word(rng)) for _ in range(100)]:
+                s, t = two_end(a), two_end(b)
+                ceiling = model.score_ceiling(max(len(s), len(t)))
+                assert model.transformation_score(s, t) <= ceiling
 
     def test_config_mismatch_rejected(self):
         model = train_error_model([("mesia", "messia")], CONFIG)

@@ -17,7 +17,7 @@ from cognatekit import (
     shingle,
     sim,
 )
-from cognatekit.ranking import extended_bigram_tokens, order_scored, target_rank
+from cognatekit.ranking import extended_bigram_tokens, order_scored, sim_all, target_rank
 
 from conftest import random_word
 
@@ -180,6 +180,28 @@ class TestSim:
                     RankerParams("bm25", **{name: value})
 
 
+class TestSimAll:
+    @pytest.mark.parametrize("mode", ("plain", "one_end", "two_end"))
+    @pytest.mark.parametrize("sizes", ((2,), (2, 3)))
+    def test_equals_sim_per_document(self, mode, sizes):
+        # bit for bit (float.hex also rejects an int), duplicate words,
+        # queries with tokens absent from the index
+        config = ShinglerConfig(sizes, mode)
+        rng = random.Random(f"{mode}{sizes}")
+        for _ in range(25):
+            words = [random_word(rng, 1, 8) for _ in range(rng.randint(1, 30))]
+            words += rng.sample(words, rng.randint(0, len(words)))
+            rng.shuffle(words)
+            index = build_index(words, config)
+            query = shingle(rng.choice([rng.choice(words), random_word(rng, 1, 12)]), config)
+            for name in ALL_FUNCTIONS:
+                params = RankerParams(
+                    name, k1=rng.uniform(0.0, 3.0), b=rng.random(), mu=rng.uniform(0.5, 100.0)
+                )
+                expected = [sim(query, doc, index, params).hex() for _, doc in index.docs]
+                assert [score.hex() for score in sim_all(query, index, params)] == expected
+
+
 class TestMicroCorpus:
     """Frozen expected values computed independently from the formulas."""
 
@@ -260,10 +282,34 @@ class TestRank:
                 params = RankerParams(name)
                 assert rank(query, index, params) == brute_force_rank(query, index, params)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        index = build_index(["noche", "nacht", "notte"], PLAIN2)
+        with pytest.raises(ConfigError):
+            rank("nuit", index, RankerParams("bm25"), k=k)
+        with pytest.raises(ConfigError):
+            order_scored(["noche", "nacht"], [1.0, 0.5], k)
+
     def test_needs_params_or_scorer(self):
         index = build_index(["noche"], PLAIN2)
         with pytest.raises(ConfigError):
             rank("nuit", index)
+
+
+class TestOrderScored:
+    def test_top_k_equals_full_sort_truncated(self):
+        # ties at the k-th score and signed zeros; repr tells -0.0 from 0.0
+        rng = random.Random(27)
+        vocabulary = ["ab", "ba", "bb", "ca", "cb", "aa"]
+        values = [-0.0, 0.0, 0.0, -0.0, 0.25, 0.5, 1.0, -1.0]
+        for _ in range(1000):
+            words = [rng.choice(vocabulary) for _ in range(rng.randint(1, 25))]
+            scores = [rng.choice(values) for _ in words]
+            order = sorted(range(len(words)), key=lambda i: (-scores[i], words[i], i))
+            full = [(words[i], repr(scores[i])) for i in order]
+            for k in (1, 2, 3, len(words), len(words) + 1):
+                top = order_scored(words, scores, k)
+                assert [(w, repr(score)) for w, score in top] == full[:k]
 
 
 class TestTargetRank:
@@ -299,6 +345,13 @@ class TestLexiconFile:
         path = tmp_path / "lex.txt"
         path.write_text("# header\nnoche\n\nNACHT\n  # indented comment\nnotte\n")
         assert load_lexicon(path) == ["noche", "nacht", "notte"]
+
+    def test_file_without_words_is_a_data_error(self, tmp_path):
+        path = tmp_path / "empty-lexicon.txt"
+        for text in ("", "# only a comment\n\n"):
+            path.write_text(text)
+            with pytest.raises(DataError, match="empty-lexicon.txt"):
+                load_lexicon(path)
 
     def test_invalid_word_reports_line(self, tmp_path):
         path = tmp_path / "lex.txt"

@@ -1,8 +1,11 @@
 """Blended scoring, normalization modes, and threshold learning."""
 
 import random
+from dataclasses import replace
 
 import pytest
+
+import cognatekit.scorer as scorer_module
 
 from cognatekit import (
     CombinedScorer,
@@ -19,7 +22,8 @@ from cognatekit import (
     train_error_model,
     train_scorer,
 )
-from cognatekit.scorer import _blend, _normalize
+from cognatekit.error_model import ErrorModel
+from cognatekit.scorer import NORMALIZATION_MODES, _blend, _normalize
 
 from conftest import random_word
 
@@ -109,6 +113,26 @@ class TestCombinedScore:
         scorer = CombinedScorer(ScoreConfig(), model, index)
         with pytest.raises(TrainingError):
             scorer.score_pair("mesia", "messia")
+        # also where the similarity is not computed
+        with pytest.raises(TrainingError):
+            scorer.with_config(sim_weight=0.0).score_pair("mesia", "messia")
+
+    def test_weight_zero_computes_no_similarity(self, monkeypatch):
+        scorer, triples = fitted_scorer(sim_weight=0.0)
+        pairs = [(shingle(s, TWO_END), shingle(t, TWO_END)) for s, t, _ in triples]
+        expected = [scorer.error_model.transformation_score(s, t) for s, t in pairs]
+        calls = []
+        real_sim = scorer_module.sim
+
+        def counting_sim(*args):
+            calls.append(args)
+            return real_sim(*args)
+
+        monkeypatch.setattr(scorer_module, "sim", counting_sim)
+        assert [scorer.combined_score(s, t) for s, t in pairs] == expected
+        assert calls == []
+        scorer.with_config(sim_weight=0.4).combined_score(*pairs[0])
+        assert len(calls) == 1
 
     def test_trained_normalization_clamps(self):
         scorer, triples = fitted_scorer()
@@ -182,6 +206,82 @@ class TestRankingConsistency:
         other = build_index(["noche"], ShinglerConfig((2,), "plain"))
         with pytest.raises(ConfigError):
             scorer.score_candidates(shingle("nuit", TWO_END), other)
+
+
+class TestTopK:
+    """``rank`` with a combined scorer and ``k`` against brute force."""
+
+    @staticmethod
+    def lexicons(rng):
+        for trial in range(16):
+            if trial % 2:
+                # heavy ties: a two-letter alphabet, short words, many repeats
+                yield [
+                    "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                    for _ in range(rng.randint(1, 40))
+                ]
+            else:
+                words = [random_word(rng, 2, 8) for _ in range(rng.randint(1, 40))]
+                yield words + rng.sample(words, rng.randint(0, len(words)))
+
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+    @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
+    def test_rank_equals_brute_force(self, normalization, sim_weight):
+        fitted, triples = fitted_scorer()
+        config = replace(fitted.config, sim_weight=sim_weight, normalization=normalization)
+        rng = random.Random(f"{normalization}{sim_weight}")
+        for lexicon in self.lexicons(rng):
+            index = build_index(lexicon, TWO_END)
+            scorer = CombinedScorer(
+                config, fitted.error_model, index, fitted.sim_min, fitted.sim_max
+            )
+            query = rng.choice([rng.choice(lexicon), rng.choice(triples)[0], "ab"])
+            scores = scorer.score_candidates(shingle(query, TWO_END), index)
+            words = [word for word, _ in index.docs]
+            order = sorted(range(len(words)), key=lambda i: (-scores[i], words[i], i))
+            expected = [(words[i], scores[i]) for i in order]
+            for k in (1, 3, 10, len(words), len(words) + 5):
+                assert rank(query, index, scorer=scorer, k=k) == expected[:k]
+
+    def test_a_bound_equal_to_the_kth_score_is_not_pruned(self):
+        # a model whose ceiling its scores reach: equal scores then tie on
+        # the word, and the later, smaller word must still be scored
+        class FlatModel:
+            config = TWO_END
+
+            def transformation_score(self, s, t):
+                return 0.25
+
+            def score_ceiling(self, max_tokens):
+                return 0.25
+
+        index = build_index(["zz", "aa"], TWO_END)
+        config = ScoreConfig(sim_weight=0.4, normalization="per_query_minmax")
+        scorer = CombinedScorer(config, FlatModel(), index)
+        scores = scorer.score_candidates(shingle("q", TWO_END), index)
+        assert scores[0] == scores[1]
+        assert rank("q", index, scorer=scorer, k=1) == [("aa", scores[1])]
+
+    def test_small_k_scores_few_documents(self, monkeypatch):
+        fitted, triples = fitted_scorer()
+        rng = random.Random(38)
+        index = build_index([random_word(rng, 2, 8) for _ in range(300)], TWO_END)
+        scorer = CombinedScorer(
+            replace(fitted.config, sim_weight=0.4, normalization="per_query_minmax"),
+            fitted.error_model,
+            index,
+        )
+        calls = []
+        real_score = ErrorModel.transformation_score
+
+        def counting_score(self, s, t):
+            calls.append(t)
+            return real_score(self, s, t)
+
+        monkeypatch.setattr(ErrorModel, "transformation_score", counting_score)
+        for source, _, _ in triples[:10]:
+            rank(source, index, scorer=scorer, k=3)
+        assert len(calls) < 10 * 300 / 2
 
 
 class TestLearnThreshold:
