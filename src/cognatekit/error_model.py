@@ -21,6 +21,15 @@ by the number of edges.  The loop is deliberate: from Python 3.12
 ``sum()`` adds floats with compensated summation, which would make
 scores, and the thresholds learned from them, depend on the interpreter
 version.
+
+Scoring builds no edge tuples.  Counts are kept nested, ``{top token:
+{bottom token: count}}``, and :func:`_count_seq` reads them side by
+side: for each top token in order, the counts of every bottom token in
+order, which is the order of ``itertools.product(top, bottom)`` and so
+of ``build_graph(s, t).edges``.  A top token that heads no counted edge
+contributes ``len(bottom)`` zeros.  The count sequence therefore equals
+``[counts.get(edge, 0) for edge in build_graph(s, t).edges]`` element
+for element, and the score's summation order is unchanged.
 """
 
 from __future__ import annotations
@@ -57,13 +66,8 @@ class ErrorGraph:
         return f"ErrorGraph({shown})"
 
 
-def build_graph(s: ShingleSet, t: ShingleSet) -> ErrorGraph:
-    """Construct the transformation graph between two shingle sets.
-
-    Both sets must come from the same shingler configuration.  The
-    returned graph always has at least one edge: identical words reduce
-    to a single placeholder-to-placeholder edge.
-    """
+def _sides(s: ShingleSet, t: ShingleSet) -> tuple[list, list]:
+    """Top and bottom tokens of the pair's graph: unshared tokens, padded to one length."""
     if s.config != t.config:
         raise ConfigError(
             f"shingle sets built with different configs: {s.config} vs {t.config}"
@@ -79,8 +83,36 @@ def build_graph(s: ShingleSet, t: ShingleSet) -> ErrorGraph:
         top.insert(len(top) // 2, EMPTY_TOKEN)
     while len(bottom) < len(top):
         bottom.insert(len(bottom) // 2, EMPTY_TOKEN)
-    edges = tuple(product(top, bottom))
-    return ErrorGraph(tuple(top), tuple(bottom), edges)
+    return top, bottom
+
+
+def build_graph(s: ShingleSet, t: ShingleSet) -> ErrorGraph:
+    """Construct the transformation graph between two shingle sets.
+
+    Both sets must come from the same shingler configuration.  The
+    returned graph always has at least one edge: identical words reduce
+    to a single placeholder-to-placeholder edge.
+    """
+    top, bottom = _sides(s, t)
+    return ErrorGraph(tuple(top), tuple(bottom), tuple(product(top, bottom)))
+
+
+def _nest(edge_counts: Mapping) -> dict:
+    """``{top token: {bottom token: count}}`` from counts keyed by edge."""
+    nested: dict = {}
+    for (u, v), count in edge_counts.items():
+        nested.setdefault(u, {})[v] = count
+    return nested
+
+
+_NO_COUNTS: Mapping = {}  # the row of a top token that heads no counted edge
+
+
+def _count_seq(s: ShingleSet, t: ShingleSet, nested: Mapping) -> list[int]:
+    """Counts of the pair's graph edges, in edge order, read from nested counts."""
+    top, bottom = _sides(s, t)
+    rows = [nested.get(u, _NO_COUNTS) for u in top]
+    return [row.get(v, 0) for row in rows for v in bottom]
 
 
 def _power_table(
@@ -137,12 +169,15 @@ class ErrorModel:
     alpha: float = 1.0
     power: float = 1.0
     _table: dict = field(init=False, repr=False, compare=False)
+    _nested: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
             raise ConfigError(f"smoothing pseudo-count must be finite and > 0, got {self.alpha}")
         if not 0 < self.power < math.inf:
             raise ConfigError(f"strength exponent must be finite and > 0, got {self.power}")
+        if any(count < 0 for count in self.edge_counts.values()):
+            raise ConfigError("edge counts must not be negative")
         if self.total_count != sum(self.edge_counts.values()):
             raise ConfigError("total_count does not match the edge counts")
         if self.distinct_edges < len(self.edge_counts) + 1:
@@ -150,6 +185,7 @@ class ErrorModel:
         counts = set(self.edge_counts.values()) | {0}
         table = _power_table(counts, self.total_count, self.distinct_edges, self.alpha, self.power)
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_nested", _nest(self.edge_counts))
 
     def edge_prob(self, edge) -> float:
         """Smoothed probability of one edge, strictly inside (0, 1)."""
@@ -160,8 +196,7 @@ class ErrorModel:
         """Mean of smoothed edge probabilities (each raised to ``power``)."""
         if s.config != self.config or t.config != self.config:
             raise ConfigError("shingle sets do not match the model's shingler config")
-        get = self.edge_counts.get
-        return _mean_score([get(edge, 0) for edge in build_graph(s, t).edges], self._table)
+        return _mean_score(_count_seq(s, t, self._nested), self._table)
 
     def score_ceiling(self, max_tokens: int) -> float:
         """Upper bound on ``transformation_score`` of sets with at most ``max_tokens`` tokens.
@@ -203,6 +238,8 @@ def model_from_dict(payload: dict) -> ErrorModel:
             tuple(payload["shingler_config"]["gram_sizes"]),
             payload["shingler_config"]["mode"],
         )
+        if not isinstance(payload["edge_counts"], dict):
+            raise DataError("edge_counts must be a JSON object")
         counts = {
             _decode_edge(key): int(count)
             for key, count in payload["edge_counts"].items()
@@ -215,7 +252,7 @@ def model_from_dict(payload: dict) -> ErrorModel:
             alpha=float(payload["alpha"]),
             power=float(payload["q"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed error-model document: {exc}") from exc
 
 

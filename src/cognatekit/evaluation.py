@@ -8,6 +8,16 @@ report the mean reciprocal rank of the true target.
 Hyperparameters are chosen by k-fold cross-validated grid search on the
 training split; all randomness flows from one seed and splits are keyed
 to stable pair identity, so results do not depend on input file order.
+
+MRR cost: only the true target's rank is read.  ``eval_mrr`` asks the
+system for ``target_rank``; the pipeline scores the target exactly and
+then only the words whose score bound reaches it, never sorting.  In
+``tune`` the transformation scores of a fold's query x word pairs come
+from count sequences, scored once per distinct sequence and (alpha,
+power), and a grid combination that reads the same parameter values as
+an earlier one (weight 0 ignores mu/k1/b, weight 1 ignores alpha/power)
+is skipped, as it could only tie.  Every float is computed by the same
+expressions in the same order as a full ranking, so results are equal.
 """
 
 from __future__ import annotations
@@ -22,10 +32,11 @@ from typing import Optional, Sequence
 
 from .baselines import BASELINE_METHODS, baseline_similarity
 from .errors import ConfigError, DataError, InvalidWordError, TrainingError
-from .error_model import _mean_score, _power_table, build_graph
+from .error_model import _count_seq, _mean_score, _nest, _power_table, build_graph
 from .ranking import (
     LexiconIndex,
     RankerParams,
+    _read_lines,
     build_index,
     order_scored,
     rank,
@@ -50,40 +61,34 @@ class LabeledPair:
 
 
 def load_dataset(path, language_pair: str = "") -> list[LabeledPair]:
-    """Read a TSV dataset of ``source<TAB>target<TAB>label`` lines.
+    """Read a UTF-8 TSV dataset of ``source<TAB>target<TAB>label`` lines.
 
     Labels are 0/1; blank lines are skipped.  Any malformed line raises
-    :class:`DataError` with its line number.
+    :class:`DataError` with its line number, and so does a file that is
+    not UTF-8.
     """
     pairs = []
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
-    with handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+    for lineno, raw in enumerate(_read_lines(path, "dataset"), 1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        source, target, label = fields
+        if label not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        try:
+            pairs.append(
+                LabeledPair(
+                    normalize_word(source.strip()),
+                    normalize_word(target.strip()),
+                    label == "1",
+                    language_pair,
                 )
-            source, target, label = fields
-            if label not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            try:
-                pairs.append(
-                    LabeledPair(
-                        normalize_word(source.strip()),
-                        normalize_word(target.strip()),
-                        label == "1",
-                        language_pair,
-                    )
-                )
-            except InvalidWordError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except InvalidWordError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     if not pairs:
         raise DataError(f"{path}: dataset is empty")
     return pairs
@@ -176,11 +181,7 @@ def eval_mrr(
     for pair in queries:
         if pair.target not in available:
             raise DataError(f"true target {pair.target!r} is missing from the lexicon")
-    ranks = []
-    for pair in queries:
-        ranking = system.rank(pair.source, words)
-        position = next(i for i, (word, _) in enumerate(ranking) if word == pair.target)
-        ranks.append(position + 1)
+    ranks = [system.target_rank(pair.source, words, pair.target) for pair in queries]
     total = 0.0  # left to right: sum() over floats is compensated from 3.12
     for r in ranks:
         total += 1.0 / r
@@ -253,16 +254,26 @@ class PipelineSystem:
     def classify(self, source: str, target: str) -> bool:
         return self._require_fit().classify(source, target)
 
-    def rank(
-        self, query: str, lexicon: Sequence[str], k: Optional[int] = None
-    ) -> list[tuple[str, float]]:
+    def _ranking(self, lexicon: Sequence[str]) -> tuple[CombinedScorer, LexiconIndex]:
+        """The fitted scorer under per-query normalization, and the lexicon's index."""
         scorer = self._require_fit().with_config(normalization="per_query_minmax")
         key = tuple(lexicon)
         index = self._index_cache.get(key)
         if index is None:
             index = build_index(lexicon, self.shingler_config)
             self._index_cache[key] = index
+        return scorer, index
+
+    def rank(
+        self, query: str, lexicon: Sequence[str], k: Optional[int] = None
+    ) -> list[tuple[str, float]]:
+        scorer, index = self._ranking(lexicon)
         return rank(query, index, scorer=scorer, k=k)
+
+    def target_rank(self, query: str, lexicon: Sequence[str], target: str) -> int:
+        """1-based position of ``target`` in ``rank(query, lexicon)``."""
+        scorer, index = self._ranking(lexicon)
+        return scorer.target_rank(shingle(query, self.shingler_config), index, target)
 
 
 class BaselineSystem:
@@ -292,8 +303,14 @@ class BaselineSystem:
     def rank(
         self, query: str, lexicon: Sequence[str], k: Optional[int] = None
     ) -> list[tuple[str, float]]:
-        scores = [baseline_similarity(self.method, query, word) for word in lexicon]
-        return order_scored(list(lexicon), scores, k)
+        return order_scored(list(lexicon), self._scores(query, lexicon), k)
+
+    def target_rank(self, query: str, lexicon: Sequence[str], target: str) -> int:
+        """1-based position of ``target`` in ``rank(query, lexicon)``."""
+        return target_rank(list(lexicon), self._scores(query, lexicon), target)
+
+    def _scores(self, query: str, lexicon: Sequence[str]) -> list[float]:
+        return [baseline_similarity(self.method, query, word) for word in lexicon]
 
 
 DEFAULT_GRIDS = {
@@ -334,7 +351,7 @@ def _resolve_grids(
 
 
 class _TuneCache:
-    """Fold-independent work of one tune call: shingle sets and graph edges."""
+    """Fold-independent work of one tune call: shingle sets, and positives' graph edges."""
 
     def __init__(self, config: ShinglerConfig):
         self.config = config
@@ -348,6 +365,7 @@ class _TuneCache:
         return cached
 
     def edges(self, source: str, target: str) -> tuple:
+        """Graph edges of a positive pair, counted by every fold that trains on it."""
         key = (source, target)
         cached = self._edges.get(key)
         if cached is None:
@@ -356,13 +374,29 @@ class _TuneCache:
         return cached
 
 
+def _distinct_rows(rows) -> tuple[list[list[int]], list[tuple]]:
+    """Rows of count sequences as rows of ids into the distinct sequences."""
+    ids: dict[tuple, int] = {}
+    id_rows = [[ids.setdefault(tuple(seq), len(ids)) for seq in row] for row in rows]
+    return id_rows, list(ids)
+
+
+def _score_rows(grouped: tuple[list[list[int]], list[tuple]], table) -> list[list[float]]:
+    """Score each distinct count sequence once and spread the scores over the rows."""
+    id_rows, distinct = grouped
+    values = [_mean_score(seq, table) for seq in distinct]
+    return [[values[i] for i in row] for row in id_rows]
+
+
 class _FoldCache:
     """Per-fold precomputation shared by every grid combination.
 
-    Each pair's graph edges become a tuple of this fold's edge counts
-    once; every (alpha, power) grid point scores those tuples with the
-    error model's kernel, so tuning and a model trained on the fold's
-    positives compute the same value.
+    The fold's edge counts are kept nested, as in a trained
+    :class:`~cognatekit.error_model.ErrorModel`, and each pair's count
+    sequence comes from the same kernel.  Equal sequences get one id;
+    every (alpha, power) grid point scores each distinct sequence once
+    with the error model's kernel, so tuning and a model trained on the
+    fold's positives compute the same value.
     """
 
     def __init__(self, shared: _TuneCache, train, val, function, use_error_model, lexicon_index):
@@ -376,8 +410,8 @@ class _FoldCache:
         self._trans: dict[tuple, tuple[list[float], list[float]]] = {}
         self._norm_rows: dict[tuple, list[list[float]]] = {}
         self._trans_rows: dict[tuple, list[list[float]]] = {}
-        self._pair_counts: Optional[tuple[list[tuple], list[tuple]]] = None
-        self._row_counts: Optional[list[list[tuple]]] = None
+        self._pair_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
+        self._row_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
         self.counts: Counter = Counter()
         if use_error_model:
             positives = [p for p in train if p.label]
@@ -385,14 +419,11 @@ class _FoldCache:
                 raise TrainingError("a cross-validation fold has no positive training pairs")
             for p in positives:
                 self.counts.update(shared.edges(p.source, p.target))
+        self.nested = _nest(self.counts)
         self.total = sum(self.counts.values())
         self.distinct = len(self.counts) + 1
         self.index = build_index([p.target for p in train], shared.config)
         self.lexicon_index = lexicon_index
-
-    def _count_seq(self, source: str, target: str) -> tuple:
-        get = self.counts.get
-        return tuple([get(edge, 0) for edge in self.shared.edges(source, target)])
 
     def _table(self, alpha, power) -> dict[int, float]:
         values = set(self.counts.values()) | {0}
@@ -421,15 +452,13 @@ class _FoldCache:
         key = (alpha, power)
         cached = self._trans.get(key)
         if cached is None:
-            if self._pair_counts is None:
-                self._pair_counts = tuple(
-                    [self._count_seq(p.source, p.target) for p in part]
+            if self._pair_ids is None:
+                sets = self.shared.shingle_set
+                self._pair_ids = _distinct_rows(
+                    [_count_seq(sets(p.source), sets(p.target), self.nested) for p in part]
                     for part in (self.train, self.val)
                 )
-            table = self._table(alpha, power)
-            cached = tuple(
-                [_mean_score(counts, table) for counts in part] for part in self._pair_counts
-            )
+            cached = tuple(_score_rows(self._pair_ids, self._table(alpha, power)))
             self._trans[key] = cached
         return cached
 
@@ -452,15 +481,13 @@ class _FoldCache:
         key = (alpha, power)
         cached = self._trans_rows.get(key)
         if cached is None:
-            if self._row_counts is None:
-                self._row_counts = [
-                    [self._count_seq(p.source, word) for word, _ in self.lexicon_index.docs]
-                    for p in self.queries
-                ]
-            table = self._table(alpha, power)
-            cached = [
-                [_mean_score(counts, table) for counts in row] for row in self._row_counts
-            ]
+            if self._row_ids is None:
+                docs = [doc for _, doc in self.lexicon_index.docs]
+                sources = [self.shared.shingle_set(p.source) for p in self.queries]
+                self._row_ids = _distinct_rows(
+                    [_count_seq(source, doc, self.nested) for doc in docs] for source in sources
+                )
+            cached = _score_rows(self._row_ids, self._table(alpha, power))
             self._trans_rows[key] = cached
         return cached
 
@@ -498,6 +525,16 @@ def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional
         scores = _blend(weight, norms, trans)
         total += 1.0 / target_rank(lex_words, scores, pair.target)
     return total / len(queries)
+
+
+def _effective_key(combo: dict) -> tuple:
+    """The grid values a combo's scores read: _blend reads one side at weights 0 and 1."""
+    weight = combo["sim_weight"]
+    if weight == 0.0:
+        return (0.0, combo["power"], combo["alpha"])
+    if weight == 1.0:
+        return (1.0, combo["mu"], combo["k1"], combo["b"])
+    return tuple(combo[key] for key in GRID_KEYS)
 
 
 def _fold_caches(
@@ -540,7 +577,9 @@ def tune(
     """Cross-validated grid search; returns the winning hyperparameters.
 
     ``objective`` is ``accuracy`` (classification) or ``mrr`` (ranking).
-    Ties go to the earliest combination in grid order.
+    Ties go to the earliest combination in grid order.  A combination
+    whose scores provably equal an earlier one's (the same values of
+    every parameter it reads) is not scored again: it could only tie.
     """
     if objective not in ("accuracy", "mrr"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
@@ -559,8 +598,13 @@ def tune(
 
     best_combo = None
     best_score = -math.inf
+    scored = set()
     for values in itertools.product(*(merged[key] for key in GRID_KEYS)):
         combo = dict(zip(GRID_KEYS, values))
+        key = _effective_key(combo)
+        if key in scored:  # an earlier combo scored the same; ties go to it
+            continue
+        scored.add(key)
         fold_scores = []
         for cache in caches:
             if objective == "accuracy":

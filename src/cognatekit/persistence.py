@@ -89,7 +89,7 @@ def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
         return scorer, meta
     except DataError:
         raise
-    except (CognateKitError, KeyError, TypeError, ValueError) as exc:
+    except (CognateKitError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
 
 
@@ -107,7 +107,8 @@ def load_model(path) -> tuple[CombinedScorer, dict]:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not JSON or not UTF-8; RecursionError: nested too deeply
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"cannot read model file {path}: not a JSON object")

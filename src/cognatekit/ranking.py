@@ -269,6 +269,14 @@ def order_scored(
     return [(words[i], scores[i]) for i in order]
 
 
+def _position(words: Sequence[str], target: str) -> int:
+    """Index of the target's first occurrence among the candidate words."""
+    try:
+        return words.index(target)
+    except ValueError:
+        raise DataError(f"target word {target!r} is not among the candidates") from None
+
+
 def target_rank(words: Sequence[str], scores: Sequence[float], target: str) -> int:
     """1-based rank the target word receives under the shared tie rule.
 
@@ -277,10 +285,7 @@ def target_rank(words: Sequence[str], scores: Sequence[float], target: str) -> i
     count the scores above the target's best score, and walk the
     (word, position) tie rule only when that score is shared.
     """
-    try:
-        best = scores[words.index(target)]
-    except ValueError:
-        raise DataError(f"target word {target!r} is not among the candidates") from None
+    best = scores[_position(words, target)]
     if words.count(target) > 1:
         best = max(score for word, score in zip(words, scores) if word == target)
     ahead = sum(1 for score in scores if score > best)
@@ -323,27 +328,33 @@ def rank(
     return order_scored(words, scores, k)
 
 
+def _read_lines(path, kind: str) -> list[str]:
+    """The lines of a UTF-8 text file; an unreadable or undecodable file is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.readlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{kind} file {path} is not valid UTF-8: {exc}") from exc
+
+
 def load_lexicon(path) -> list[str]:
     """Read a one-word-per-line UTF-8 lexicon.
 
     Blank lines and lines starting with '#' are ignored.  Invalid words
-    raise :class:`DataError` with their line number, and so does a file
-    that holds no word.
+    raise :class:`DataError` with their line number; a file that holds
+    no word or is not UTF-8 raises it too.
     """
     words = []
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon file {path}: {exc}") from exc
-    with handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                words.append(normalize_word(line))
-            except InvalidWordError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(_read_lines(path, "lexicon"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            words.append(normalize_word(line))
+        except InvalidWordError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     if not words:
         raise DataError(f"lexicon file {path} holds no word")
     return words

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, TrainingError
 from .error_model import ErrorModel, train_error_model
-from .ranking import LexiconIndex, RankerParams, build_index, sim, sim_all
+from .ranking import LexiconIndex, RankerParams, _position, build_index, sim, sim_all, target_rank
 from .shingling import ShinglerConfig, ShingleSet, shingle
 
 NORMALIZATION_MODES = ("per_query_minmax", "trained_minmax")
@@ -161,21 +161,14 @@ class CombinedScorer:
             trans = [self.error_model.transformation_score(query, doc) for _, doc in index.docs]
         return _blend(w, norms, trans)
 
-    def score_top(self, query: ShingleSet, index: LexiconIndex, k: int) -> dict[int, float]:
-        """Blended scores, by document id, of documents that include the best ``k``.
+    def _bounded(self, query: ShingleSet, index: LexiconIndex):
+        """Each document's score bound, and the exact blended score of one document.
 
         A document's bound blends its normalized similarity with the
         model's score ceiling; blending is monotone in each part, so no
-        score exceeds its bound.  The ``k`` documents with the largest
-        bounds are scored first: at least ``k`` scores reach their lowest
-        one, so a document whose bound is strictly below it cannot be in
-        the top ``k``.  Every other document whose bound reaches it is
-        scored too, as an equal score can still win on the word tie rule.
+        score exceeds its bound.
         """
-        self._check_index(index)
         w = self.config.sim_weight
-        if w in (0.0, 1.0):  # one part decides alone: no bound to prune with
-            return dict(enumerate(self.score_candidates(query, index)))
         norms = self._norm_sims(query, index)
         ceiling = self.error_model.score_ceiling(max(len(query), max(index.doc_lens)))
         bounds = _blend(w, norms, [ceiling] * len(norms))
@@ -184,6 +177,21 @@ class CombinedScorer:
             trans = self.error_model.transformation_score(query, index.docs[i][1])
             return _blend(w, [norms[i]], [trans])[0]
 
+        return bounds, blended
+
+    def score_top(self, query: ShingleSet, index: LexiconIndex, k: int) -> dict[int, float]:
+        """Blended scores, by document id, of documents that include the best ``k``.
+
+        The ``k`` documents with the largest bounds are scored first: at
+        least ``k`` scores reach their lowest one, so a document whose
+        bound is strictly below it cannot be in the top ``k``.  Every
+        other document whose bound reaches it is scored too, as an equal
+        score can still win on the word tie rule.
+        """
+        self._check_index(index)
+        if self.config.sim_weight in (0.0, 1.0):  # one part decides alone: no bound to prune with
+            return dict(enumerate(self.score_candidates(query, index)))
+        bounds, blended = self._bounded(query, index)
         first = heapq.nlargest(k, range(len(bounds)), key=bounds.__getitem__)
         scored = {i: blended(i) for i in first}
         kth = min(scored.values())
@@ -191,6 +199,24 @@ class CombinedScorer:
             if bound >= kth and i not in scored:
                 scored[i] = blended(i)
         return scored
+
+    def target_rank(self, query: ShingleSet, index: LexiconIndex, target: str) -> int:
+        """1-based rank of ``target`` among the blended scores of ``index``'s documents.
+
+        Equal to its position in the full ranking.  Only documents whose
+        bound reaches the target's exact score are scored: any other
+        scores strictly below the target and cannot precede it.
+        """
+        self._check_index(index)
+        words = index.words
+        if self.config.sim_weight in (0.0, 1.0):  # one part decides alone: no bound to prune with
+            return target_rank(words, self.score_candidates(query, index), target)
+        bounds, blended = self._bounded(query, index)
+        t = _position(words, target)
+        best = blended(t)
+        ids = [i for i, bound in enumerate(bounds) if bound >= best]
+        scores = [best if i == t else blended(i) for i in ids]
+        return target_rank([words[i] for i in ids], scores, target)
 
 
 def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:

@@ -108,7 +108,13 @@ class ShingleSet:
 
 
 def _grams(word: str, k: int) -> list[str]:
-    """Unique sentinel-stripped k-grams of ``word`` in emission order."""
+    """Unique sentinel-stripped k-grams of ``word`` in emission order.
+
+    With k >= len(word) the grams are the word's prefixes, then its
+    suffixes; a larger k only repeats the whole word, so k is capped at
+    the word's length and a huge gram size costs nothing.
+    """
+    k = min(k, len(word))
     padded = _SENTINEL * (k - 1) + word + _SENTINEL * (k - 1)
     grams = []
     for i in range(len(padded) - k + 1):

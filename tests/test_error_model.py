@@ -12,7 +12,16 @@ from cognatekit import (
     shingle,
     train_error_model,
 )
-from cognatekit.error_model import EMPTY_TOKEN, _mean_ceiling, _mean_score, model_from_dict
+from cognatekit.error_model import (
+    EMPTY_TOKEN,
+    ErrorModel,
+    _count_seq,
+    _mean_ceiling,
+    _mean_score,
+    _nest,
+    model_from_dict,
+)
+from cognatekit.shingling import MODES
 
 from conftest import random_word
 
@@ -115,6 +124,46 @@ class TestTrain:
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ConfigError):
                     train_error_model([("a", "b")], CONFIG, **{name: value})
+
+
+class TestCountSeq:
+    """``_count_seq`` over nested counts against the counts of ``build_graph``'s edges."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("sizes", [(2,), (2, 3)])
+    def test_equals_counts_of_the_graph_edges(self, mode, sizes):
+        config = ShinglerConfig(sizes, mode)
+        rng = random.Random(f"{mode}{sizes}")
+        words = [random_word(rng, 1, 7) for _ in range(40)]
+        pairs = [(rng.choice(words), rng.choice(words)) for _ in range(300)]
+        model = train_error_model(pairs[::2], config)
+        counts = model.edge_counts
+        nested = _nest(counts)
+        # identical words, a side left empty (one word's tokens inside the
+        # other's), padding of the shorter side, and tokens never counted
+        pairs += [("abc", "abc"), ("a", "ab"), ("ab", "a"), ("a", "bcdefgh"), ("øøø", "a")]
+        seen = {"identical": 0, "empty side": 0, "padded": 0, "unseen top": 0}
+        for a, b in pairs:
+            s, t = shingle(a, config), shingle(b, config)
+            graph = build_graph(s, t)
+            expected = [counts.get(edge, 0) for edge in graph.edges]
+            assert _count_seq(s, t, nested) == expected
+            assert _count_seq(s, t, model._nested) == expected
+            seen["identical"] += graph.edges == ((EMPTY_TOKEN, EMPTY_TOKEN),)
+            seen["empty side"] += {EMPTY_TOKEN} in ({*graph.top}, {*graph.bottom}) and a != b
+            seen["padded"] += len(graph.edges) > 1 and EMPTY_TOKEN in graph.top + graph.bottom
+            seen["unseen top"] += any(u not in nested for u in graph.top)
+        assert all(seen.values()), seen
+
+    def test_model_nested_counts_do_not_change_equality(self):
+        a = train_error_model([("mesia", "messia")], CONFIG)
+        b = train_error_model([("mesia", "messia")], CONFIG)
+        assert a == b
+        assert a._nested == {u: {v: 1} for u, v in a.edge_counts}
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ConfigError):
+            ErrorModel(CONFIG, {("a", "b"): -5}, total_count=-5, distinct_edges=2)
 
 
 class TestEdgeProb:

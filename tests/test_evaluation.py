@@ -1,9 +1,13 @@
 """Dataset handling, splits, tuning, and the experiment harness."""
 
+import itertools
 import json
+import math
 import random
 
 import pytest
+
+import cognatekit.evaluation as evaluation
 
 from cognatekit import (
     AblationCell,
@@ -26,20 +30,33 @@ from cognatekit import (
     train_error_model,
     tune,
 )
+from cognatekit.baselines import BASELINE_METHODS
+from cognatekit.error_model import ErrorModel
 from cognatekit.evaluation import (
+    GRID_KEYS,
+    _combo_accuracy,
+    _combo_mrr,
     _fold_caches,
+    _resolve_grids,
     dataset_lexicon,
     format_report_table,
     resolve_hyperparameters,
     stratified_folds,
 )
 
-from conftest import make_hard_synthetic_pairs, make_synthetic_pairs
+from conftest import make_hard_synthetic_pairs, make_synthetic_pairs, random_word
 
 TWO_END = ShinglerConfig((2,), "two_end")
 
 
-class IdentitySystem:
+class RanksFromList:
+    """A fake system's target rank: the target's position in its own ``rank`` list."""
+
+    def target_rank(self, query, lexicon, target):
+        return [word for word, _ in self.rank(query, lexicon)].index(target) + 1
+
+
+class IdentitySystem(RanksFromList):
     """Perfect scorer for harness sanity checks."""
 
     def classify(self, source, target):
@@ -178,7 +195,7 @@ class TestEvalMrr:
         assert ranks == [1, 1]
 
     def test_mean_of_reciprocals(self):
-        class FixedRanks:
+        class FixedRanks(RanksFromList):
             def rank(self, query, lexicon, k=None):
                 order = {"aa": ["aa", "bb"], "bb": ["aa", "bb"]}[query]
                 return [(w, 1.0 - i) for i, w in enumerate(order)]
@@ -207,7 +224,7 @@ class TestEvalMrr:
         rng = random.Random(11)
         wanted = {}
 
-        class PlacesTarget:
+        class PlacesTarget(RanksFromList):
             def rank(self, query, words, k=None):
                 order = [w for w in words if w != query]
                 order.insert(wanted[query] - 1, query)
@@ -315,6 +332,50 @@ class TestTune:
                     source = shingle(query.source, TWO_END)
                     expected = [model.transformation_score(source, doc) for _, doc in lexicon.docs]
                     assert row == expected
+
+    @staticmethod
+    def tune_every_combo(pairs, function, grids, objective):
+        """Brute force: score every grid combination, first strict maximum wins."""
+        lexicon_index, lex_words = None, []
+        if objective == "mrr":
+            lex_words = list(dict.fromkeys(p.target for p in pairs))
+            lexicon_index = build_index(lex_words, TWO_END)
+        caches = _fold_caches(pairs, TWO_END, function, True, 5, 42, lexicon_index)
+        merged = _resolve_grids(grids, function, True)
+        best_combo, best_score = None, -math.inf
+        for values in itertools.product(*(merged[key] for key in GRID_KEYS)):
+            combo = dict(zip(GRID_KEYS, values))
+            if objective == "accuracy":
+                scores = [_combo_accuracy(cache, combo) for cache in caches]
+            else:
+                scores = [_combo_mrr(cache, combo, lex_words) for cache in caches]
+                scores = [score for score in scores if score is not None]
+            total = 0.0
+            for score in scores:
+                total += score
+            if total / len(scores) > best_score:
+                best_combo, best_score = combo, total / len(scores)
+        return {**best_combo, "cv_score": best_score, "objective": objective,
+                "folds": len(caches)}
+
+    @pytest.mark.parametrize("objective", ["accuracy", "mrr"])
+    def test_skipping_equal_combos_matches_scoring_every_combo(self, objective, monkeypatch):
+        pairs = make_hard_synthetic_pairs(30, 30)
+        grids = {"sim_weight": [0.0, 0.5, 1.0], "power": [0.25, 1.0, 4.0],
+                 "mu": [1.0, 10.0, 100.0]}
+        expected = self.tune_every_combo(pairs, "dirichlet", grids, objective)
+        combos = []
+        scorer = "_combo_accuracy" if objective == "accuracy" else "_combo_mrr"
+        real = getattr(evaluation, scorer)
+
+        def counting(cache, combo, *rest):
+            combos.append(tuple(combo.values()))
+            return real(cache, combo, *rest)
+
+        monkeypatch.setattr(evaluation, scorer, counting)
+        assert tune(pairs, TWO_END, "dirichlet", grids=grids, objective=objective) == expected
+        # 27 combos: weight 0 reads 3 powers, weight 1 reads 3 mus, 0.5 all 9
+        assert len(set(combos)) == 3 + 9 + 3
 
     def test_irrelevant_dimensions_collapse(self, synthetic_pairs):
         resolved = resolve_hyperparameters(
@@ -443,3 +504,68 @@ class TestBaselineSystem:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             BaselineSystem("metaphone")
+
+
+class TestTargetRank:
+    """A system's ``target_rank`` against the target's position in its full ``rank`` list."""
+
+    @staticmethod
+    def cases(rng):
+        for trial in range(12):
+            if trial % 2:
+                # heavy ties: a two-letter alphabet, short words, many repeats
+                lexicon = [
+                    "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                    for _ in range(rng.randint(1, 40))
+                ]
+            else:
+                words = [random_word(rng, 2, 8) for _ in range(rng.randint(1, 40))]
+                lexicon = words + rng.sample(words, rng.randint(0, len(words)))
+            for target in rng.sample(lexicon, min(4, len(lexicon))):
+                query = rng.choice([target, rng.choice(lexicon), random_word(rng, 1, 6)])
+                yield query, lexicon, target
+
+    @staticmethod
+    def position(ranking, target):
+        return [word for word, _ in ranking].index(target) + 1
+
+    @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
+    def test_pipeline_system(self, synthetic_pairs, sim_weight):
+        system = PipelineSystem(TWO_END, RankerParams("dirichlet"), sim_weight=sim_weight)
+        system.fit(synthetic_pairs)
+        rng = random.Random(f"pipeline{sim_weight}")
+        for query, lexicon, target in self.cases(rng):
+            expected = self.position(system.rank(query, lexicon), target)
+            assert system.target_rank(query, lexicon, target) == expected
+
+    @pytest.mark.parametrize("method", BASELINE_METHODS)
+    def test_baseline_system(self, method):
+        system = BaselineSystem(method)
+        rng = random.Random(method)
+        for query, lexicon, target in self.cases(rng):
+            expected = self.position(system.rank(query, lexicon), target)
+            assert system.target_rank(query, lexicon, target) == expected
+
+    def test_pipeline_scores_only_documents_that_can_outrank_the_target(self, monkeypatch):
+        pairs = make_hard_synthetic_pairs(60, 60)
+        system = PipelineSystem(TWO_END, RankerParams("dirichlet"), sim_weight=0.2)
+        system.fit(pairs)
+        lexicon = dataset_lexicon(pairs)
+        calls = []
+        real_score = ErrorModel.transformation_score
+
+        def counting_score(self, s, t):
+            calls.append(t)
+            return real_score(self, s, t)
+
+        monkeypatch.setattr(ErrorModel, "transformation_score", counting_score)
+        queries = [p for p in pairs if p.label][:10]
+        for p in queries:
+            system.target_rank(p.source, lexicon, p.target)
+        assert len(calls) < len(queries) * len(lexicon) / 2
+
+    def test_missing_target_is_a_data_error(self, synthetic_pairs):
+        system = PipelineSystem(TWO_END, RankerParams("dirichlet"), sim_weight=0.4)
+        system.fit(synthetic_pairs)
+        with pytest.raises(DataError, match="zz"):
+            system.target_rank("aa", ["aa", "bb"], "zz")

@@ -208,6 +208,18 @@ class TestRankingConsistency:
             scorer.score_candidates(shingle("nuit", TWO_END), other)
 
 
+class FlatModel:
+    """A transformation model whose every score equals its ceiling."""
+
+    config = TWO_END
+
+    def transformation_score(self, s, t):
+        return 0.25
+
+    def score_ceiling(self, max_tokens):
+        return 0.25
+
+
 class TestTopK:
     """``rank`` with a combined scorer and ``k`` against brute force."""
 
@@ -246,21 +258,21 @@ class TestTopK:
     def test_a_bound_equal_to_the_kth_score_is_not_pruned(self):
         # a model whose ceiling its scores reach: equal scores then tie on
         # the word, and the later, smaller word must still be scored
-        class FlatModel:
-            config = TWO_END
-
-            def transformation_score(self, s, t):
-                return 0.25
-
-            def score_ceiling(self, max_tokens):
-                return 0.25
-
         index = build_index(["zz", "aa"], TWO_END)
         config = ScoreConfig(sim_weight=0.4, normalization="per_query_minmax")
         scorer = CombinedScorer(config, FlatModel(), index)
         scores = scorer.score_candidates(shingle("q", TWO_END), index)
         assert scores[0] == scores[1]
         assert rank("q", index, scorer=scorer, k=1) == [("aa", scores[1])]
+
+    def test_a_bound_equal_to_the_target_score_is_not_pruned(self):
+        index = build_index(["zz", "aa", "zz"], TWO_END)
+        config = ScoreConfig(sim_weight=0.4, normalization="per_query_minmax")
+        scorer = CombinedScorer(config, FlatModel(), index)
+        query = shingle("q", TWO_END)
+        # all three score alike: "aa" precedes "zz" on the word alone
+        assert scorer.target_rank(query, index, "zz") == 2
+        assert scorer.target_rank(query, index, "aa") == 1
 
     def test_small_k_scores_few_documents(self, monkeypatch):
         fitted, triples = fitted_scorer()

@@ -91,6 +91,16 @@ class TestPlain:
             k = rng.randint(2, 4)
             assert list(split_k(word, k, "plain").tokens) == brute_force_plain_grams(word, k)
 
+    def test_gram_size_at_or_beyond_the_word_length(self):
+        rng = random.Random(102)
+        for _ in range(200):
+            word = random_word(rng, 2, 6)
+            for k in range(len(word), len(word) + 4):
+                assert list(split_k(word, k, "plain").tokens) == brute_force_plain_grams(word, k)
+        # a huge size yields the word-length tokens and pads nothing to reach it
+        for mode in ("plain", "one_end", "two_end"):
+            assert split_k("rosmarin", 10**12, mode).tokens == split_k("rosmarin", 8, mode).tokens
+
     def test_bigram_count_is_length_plus_one_before_dedup(self):
         # distinct-gram words show the raw count directly
         assert len(split_k("rosmarin", 2, "plain")) == len("rosmarin") + 1
