@@ -9,7 +9,6 @@ for the CLI and the experiment harness.
 __version__ = "0.1.0"
 
 from .baselines import (
-    BaselineScore,
     baseline_similarity,
     edit_distance,
     lcsr,
@@ -39,6 +38,8 @@ from .evaluation import (
     ablation,
     eval_classification,
     eval_mrr,
+    evaluate,
+    fit_pipeline,
     load_dataset,
     run_baseline_experiment,
     run_experiment,
@@ -59,7 +60,6 @@ from .shingling import ShingleSet, ShinglerConfig, intersect, normalize_word, sh
 
 __all__ = [
     "AblationCell",
-    "BaselineScore",
     "BaselineSystem",
     "CognateKitError",
     "CombinedScorer",
@@ -85,6 +85,8 @@ __all__ = [
     "edit_distance",
     "eval_classification",
     "eval_mrr",
+    "evaluate",
+    "fit_pipeline",
     "intersect",
     "lcsr",
     "learn_threshold",

@@ -9,18 +9,10 @@ higher-is-more-similar scale for threshold search and ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigError
 from .ranking import _dice, extended_bigram_tokens
 
 BASELINE_METHODS = ("edit_distance", "normalized_edit_similarity", "lcsr", "xdice")
-
-
-@dataclass(frozen=True)
-class BaselineScore:
-    method: str
-    value: float
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -90,9 +82,3 @@ def baseline_similarity(method: str, a: str, b: str) -> float:
     if method == "xdice":
         return xdice_words(a, b)
     raise ConfigError(f"unknown baseline method {method!r}; expected one of {BASELINE_METHODS}")
-
-
-def baseline_score(method: str, a: str, b: str) -> BaselineScore:
-    if method == "edit_distance":
-        return BaselineScore(method, float(edit_distance(a, b)))
-    return BaselineScore(method, baseline_similarity(method, a, b))

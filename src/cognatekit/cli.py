@@ -17,12 +17,10 @@ from .baselines import BASELINE_METHODS
 from .errors import CognateKitError, ConfigError, DataError, InvalidWordError, TrainingError
 from .evaluation import (
     DEFAULT_ABLATION_CELLS,
-    EvalReport,
     PipelineSystem,
     ablation,
-    dataset_lexicon,
-    eval_classification,
-    eval_mrr,
+    evaluate,
+    fit_pipeline,
     format_report_table,
     load_dataset,
     resolve_hyperparameters,
@@ -32,7 +30,6 @@ from .evaluation import (
 )
 from .persistence import load_model, save_model, save_report
 from .ranking import RANKING_FUNCTIONS, RankerParams, build_index, load_lexicon, rank
-from .scorer import train_scorer
 from .shingling import ShinglerConfig, shingle
 
 _CLI_MODES = {"plain": "plain", "one-end": "one_end", "two-end": "two_end"}
@@ -192,15 +189,7 @@ def _cmd_train(args) -> int:
         objective=args.objective,
     )
     try:
-        scorer = train_scorer(
-            [(p.source, p.target, p.label) for p in train_pairs],
-            config,
-            RankerParams(args.ranker, k1=resolved["k1"], b=resolved["b"], mu=resolved["mu"]),
-            sim_weight=resolved["sim_weight"],
-            alpha=resolved["alpha"],
-            power=resolved["power"],
-            threshold=threshold,
-        )
+        scorer = fit_pipeline(train_pairs, config, args.ranker, resolved, threshold)
     except TrainingError as exc:
         raise DataError(str(exc)) from exc
     hyperparameters = {key: resolved[key] for key in resolved}
@@ -262,23 +251,11 @@ def _cmd_eval(args) -> int:
         scorer, meta = load_model(args.model)
         if args.seed is None and meta.get("seed") is not None:
             seed = meta["seed"]
-        train_pairs, test_pairs = split(pairs, seed)
-        system = PipelineSystem.from_scorer(scorer)
-        accuracy = eval_classification(system, test_pairs)
-        lexicon = dataset_lexicon(pairs, extra)
-        mrr, ranks = eval_mrr(system, test_pairs, lexicon)
+        system = PipelineSystem(scorer)
         hyperparameters = dict(meta.get("hyperparameters") or {})
         hyperparameters.setdefault("threshold", scorer.config.threshold)
-        report = EvalReport(
-            label=f"model:{args.model}",
-            accuracy=accuracy,
-            mrr=mrr,
-            per_query_ranks=ranks,
-            hyperparameters=hyperparameters,
-            seed=seed,
-            train_size=len(train_pairs),
-            test_size=len(test_pairs),
-            lexicon_size=len(lexicon),
+        report = evaluate(
+            system, system, pairs, seed, f"model:{args.model}", hyperparameters, extra
         )
     else:
         fixed = _fixed_from_flags(args)

@@ -18,6 +18,15 @@ power), and a grid combination that reads the same parameter values as
 an earlier one (weight 0 ignores mu/k1/b, weight 1 ignores alpha/power)
 is skipped, as it could only tie.  Every float is computed by the same
 expressions in the same order as a full ranking, so results are equal.
+
+A system is anything with the two methods the experiments read:
+``classify(source, target) -> bool`` and ``target_rank(query, lexicon,
+target) -> int``, the 1-based position of ``target`` in the ranking of
+``lexicon`` for ``query``.  :class:`PipelineSystem` views a trained
+:class:`~cognatekit.scorer.CombinedScorer` this way and
+:class:`BaselineSystem` a string-similarity baseline.  The harness and
+``cognatekit train`` train every scorer with :func:`fit_pipeline`, and
+every report is built by :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -25,12 +34,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .baselines import BASELINE_METHODS, baseline_similarity
+from .baselines import baseline_similarity
 from .errors import ConfigError, DataError, InvalidWordError, TrainingError
 from .error_model import _count_seq, _mean_score, _nest, _power_table, build_graph
 from .ranking import (
@@ -38,8 +46,6 @@ from .ranking import (
     RankerParams,
     _read_lines,
     build_index,
-    order_scored,
-    rank,
     sim,
     sim_all,
     target_rank,
@@ -63,9 +69,9 @@ class LabeledPair:
 def load_dataset(path, language_pair: str = "") -> list[LabeledPair]:
     """Read a UTF-8 TSV dataset of ``source<TAB>target<TAB>label`` lines.
 
-    Labels are 0/1; blank lines are skipped.  Any malformed line raises
-    :class:`DataError` with its line number, and so does a file that is
-    not UTF-8.
+    Labels are 0/1; blank lines are skipped; a leading byte-order mark
+    is dropped.  Any malformed line raises :class:`DataError` with its
+    line number, and so does a file that is not UTF-8.
     """
     pairs = []
     for lineno, raw in enumerate(_read_lines(path, "dataset"), 1):
@@ -182,135 +188,61 @@ def eval_mrr(
         if pair.target not in available:
             raise DataError(f"true target {pair.target!r} is missing from the lexicon")
     ranks = [system.target_rank(pair.source, words, pair.target) for pair in queries]
-    total = 0.0  # left to right: sum() over floats is compensated from 3.12
-    for r in ranks:
-        total += 1.0 / r
-    return total / len(ranks), ranks
+    return _mean([1.0 / r for r in ranks]), ranks
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean summed left to right from 0.0: sum() over floats is compensated from 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 class PipelineSystem:
-    """End-to-end trainable system over the shingling/ranking/error-model stack.
+    """A trained :class:`CombinedScorer` as an experiment system.
 
-    Classification uses trained min-max normalization and a learned
-    threshold; ranking normalizes per query over the candidate set.
-    With ``use_error_model=False`` the blend weight is pinned to 1 and
-    only the ranking function speaks.
+    ``classify`` uses the scorer's trained bounds and threshold;
+    ``target_rank`` normalizes per query over the lexicon, whose index
+    is built once per lexicon.
     """
 
-    def __init__(
-        self,
-        shingler_config: ShinglerConfig,
-        ranker: RankerParams,
-        sim_weight: float = 0.6,
-        alpha: float = 1.0,
-        power: float = 1.0,
-        threshold: Optional[float] = None,
-        use_error_model: bool = True,
-    ):
-        self.shingler_config = shingler_config
-        self.ranker = ranker
-        self.use_error_model = use_error_model
-        self.sim_weight = 1.0 if not use_error_model else sim_weight
-        self.alpha = alpha
-        self.power = power
-        self.threshold = threshold
-        self.scorer: Optional[CombinedScorer] = None
-        self._index_cache: dict[tuple, LexiconIndex] = {}
-
-    @classmethod
-    def from_scorer(cls, scorer: CombinedScorer) -> "PipelineSystem":
-        """Wrap an already-trained scorer (e.g. loaded from a model file)."""
-        system = cls(
-            scorer.shingler_config,
-            scorer.config.ranker,
-            sim_weight=scorer.config.sim_weight,
-            alpha=scorer.error_model.alpha,
-            power=scorer.error_model.power,
-            threshold=scorer.config.threshold,
-        )
-        system.scorer = scorer
-        return system
-
-    def fit(self, train_pairs: Sequence[LabeledPair]) -> None:
-        triples = [(p.source, p.target, p.label) for p in train_pairs]
-        self.scorer = train_scorer(
-            triples,
-            self.shingler_config,
-            self.ranker,
-            sim_weight=self.sim_weight,
-            alpha=self.alpha,
-            power=self.power,
-            threshold=self.threshold,
-        )
-
-    def _require_fit(self) -> CombinedScorer:
-        if self.scorer is None:
-            raise TrainingError("system must be fit before use")
-        return self.scorer
-
-    def score_pair(self, source: str, target: str) -> float:
-        return self._require_fit().score_pair(source, target)
+    def __init__(self, scorer: CombinedScorer):
+        self.scorer = scorer
+        self._per_query = scorer.with_config(normalization="per_query_minmax")
+        self._indexes: dict[tuple, LexiconIndex] = {}
 
     def classify(self, source: str, target: str) -> bool:
-        return self._require_fit().classify(source, target)
-
-    def _ranking(self, lexicon: Sequence[str]) -> tuple[CombinedScorer, LexiconIndex]:
-        """The fitted scorer under per-query normalization, and the lexicon's index."""
-        scorer = self._require_fit().with_config(normalization="per_query_minmax")
-        key = tuple(lexicon)
-        index = self._index_cache.get(key)
-        if index is None:
-            index = build_index(lexicon, self.shingler_config)
-            self._index_cache[key] = index
-        return scorer, index
-
-    def rank(
-        self, query: str, lexicon: Sequence[str], k: Optional[int] = None
-    ) -> list[tuple[str, float]]:
-        scorer, index = self._ranking(lexicon)
-        return rank(query, index, scorer=scorer, k=k)
+        return self.scorer.classify(source, target)
 
     def target_rank(self, query: str, lexicon: Sequence[str], target: str) -> int:
-        """1-based position of ``target`` in ``rank(query, lexicon)``."""
-        scorer, index = self._ranking(lexicon)
-        return scorer.target_rank(shingle(query, self.shingler_config), index, target)
+        """1-based position of ``target`` in the ranking of ``lexicon`` for ``query``."""
+        config = self.scorer.shingler_config
+        key = tuple(lexicon)
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = build_index(lexicon, config)
+        return self._per_query.target_rank(shingle(query, config), index, target)
 
 
 class BaselineSystem:
-    """Threshold-classified string-similarity baseline."""
+    """A string-similarity baseline, its threshold learned on ``train_pairs``."""
 
-    def __init__(self, method: str):
-        if method not in BASELINE_METHODS:
-            raise ConfigError(
-                f"unknown baseline method {method!r}; expected one of {BASELINE_METHODS}"
-            )
+    def __init__(self, method: str, train_pairs: Sequence[LabeledPair]):
         self.method = method
-        self.threshold: Optional[float] = None
-
-    def fit(self, train_pairs: Sequence[LabeledPair]) -> None:
-        scores = [baseline_similarity(self.method, p.source, p.target) for p in train_pairs]
-        labels = [p.label for p in train_pairs]
-        self.threshold = learn_threshold(scores, labels)
-
-    def score_pair(self, source: str, target: str) -> float:
-        return baseline_similarity(self.method, source, target)
+        self.threshold = learn_threshold(
+            [baseline_similarity(method, p.source, p.target) for p in train_pairs],
+            [p.label for p in train_pairs],
+        )
 
     def classify(self, source: str, target: str) -> bool:
-        if self.threshold is None:
-            raise TrainingError("baseline must be fit before use")
-        return self.score_pair(source, target) >= self.threshold
-
-    def rank(
-        self, query: str, lexicon: Sequence[str], k: Optional[int] = None
-    ) -> list[tuple[str, float]]:
-        return order_scored(list(lexicon), self._scores(query, lexicon), k)
+        return baseline_similarity(self.method, source, target) >= self.threshold
 
     def target_rank(self, query: str, lexicon: Sequence[str], target: str) -> int:
-        """1-based position of ``target`` in ``rank(query, lexicon)``."""
-        return target_rank(list(lexicon), self._scores(query, lexicon), target)
-
-    def _scores(self, query: str, lexicon: Sequence[str]) -> list[float]:
-        return [baseline_similarity(self.method, query, word) for word in lexicon]
+        """1-based position of ``target`` in the ranking of ``lexicon`` for ``query``."""
+        words = list(lexicon)
+        scores = [baseline_similarity(self.method, query, word) for word in words]
+        return target_rank(words, scores, target)
 
 
 DEFAULT_GRIDS = {
@@ -404,7 +336,6 @@ class _FoldCache:
         self.train = train
         self.val = val
         self.function = function
-        self.use_error_model = use_error_model
         self.queries = [p for p in val if p.label]
         self._norm: dict[tuple, tuple[list[float], list[float]]] = {}
         self._trans: dict[tuple, tuple[list[float], list[float]]] = {}
@@ -520,11 +451,10 @@ def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional
         norm_rows = cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
     if weight < 1.0:
         trans_rows = cache.trans_rows(combo["alpha"], combo["power"])
-    total = 0.0
-    for pair, norms, trans in zip(queries, norm_rows, trans_rows):
-        scores = _blend(weight, norms, trans)
-        total += 1.0 / target_rank(lex_words, scores, pair.target)
-    return total / len(queries)
+    return _mean([
+        1.0 / target_rank(lex_words, _blend(weight, norms, trans), pair.target)
+        for pair, norms, trans in zip(queries, norm_rows, trans_rows)
+    ])
 
 
 def _effective_key(combo: dict) -> tuple:
@@ -615,10 +545,7 @@ def tune(
                     fold_scores.append(score)
         if not fold_scores:
             raise TrainingError("no fold produced a tuning score (no positive pairs?)")
-        total = 0.0
-        for score in fold_scores:
-            total += score
-        mean_score = total / len(fold_scores)
+        mean_score = _mean(fold_scores)
         if mean_score > best_score:
             best_score = mean_score
             best_combo = combo
@@ -680,21 +607,9 @@ class EvalReport:
     train_size: int
     test_size: int
     lexicon_size: int
-    runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        # runtime stays out: persisted reports are byte-stable per seed
-        return {
-            "label": self.label,
-            "accuracy": self.accuracy,
-            "mrr": self.mrr,
-            "per_query_ranks": list(self.per_query_ranks),
-            "hyperparameters": dict(self.hyperparameters),
-            "seed": self.seed,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "lexicon_size": self.lexicon_size,
-        }
+        return asdict(self)
 
 
 def dataset_lexicon(
@@ -707,17 +622,57 @@ def dataset_lexicon(
     return list(dict.fromkeys(words))
 
 
-def _system_from_resolved(
-    shingler_config, ranker_function, resolved, use_error_model, threshold=None
-) -> PipelineSystem:
-    return PipelineSystem(
+def fit_pipeline(
+    train_pairs: Sequence[LabeledPair],
+    shingler_config: ShinglerConfig,
+    ranker_function: str,
+    resolved: dict,
+    threshold: Optional[float] = None,
+) -> CombinedScorer:
+    """Train a scorer on ``train_pairs`` with resolved hyperparameters.
+
+    ``resolved`` holds sim_weight/power/alpha/mu/k1/b, as returned by
+    :func:`resolve_hyperparameters`; the threshold is learned unless given.
+    """
+    return train_scorer(
+        [(p.source, p.target, p.label) for p in train_pairs],
         shingler_config,
         RankerParams(ranker_function, k1=resolved["k1"], b=resolved["b"], mu=resolved["mu"]),
         sim_weight=resolved["sim_weight"],
         alpha=resolved["alpha"],
         power=resolved["power"],
         threshold=threshold,
-        use_error_model=use_error_model,
+    )
+
+
+def evaluate(
+    classifier,
+    ranker,
+    pairs: Sequence[LabeledPair],
+    seed: int,
+    label: str,
+    hyperparameters: dict,
+    extra_lexicon: Optional[Sequence[str]] = None,
+) -> EvalReport:
+    """Both experiments on the test side of ``pairs``' split by ``seed``.
+
+    ``classifier`` labels the test pairs; ``ranker`` ranks the dataset's
+    targets, plus ``extra_lexicon``, for each test cognate.
+    """
+    train, test = split(pairs, seed)
+    accuracy = eval_classification(classifier, test)
+    lexicon = dataset_lexicon(pairs, extra_lexicon)
+    mrr, ranks = eval_mrr(ranker, test, lexicon)
+    return EvalReport(
+        label=label,
+        accuracy=accuracy,
+        mrr=mrr,
+        per_query_ranks=ranks,
+        hyperparameters=hyperparameters,
+        seed=seed,
+        train_size=len(train),
+        test_size=len(test),
+        lexicon_size=len(lexicon),
     )
 
 
@@ -740,34 +695,15 @@ def run_experiment(
     best for deciding cognate/non-cognate can be useless for ranking).
     ``fixed`` may pin any of sim_weight/power/alpha/mu/k1/b/threshold;
     pinned values become singleton grids, and tuning is skipped entirely
-    when nothing is left to search.
+    when nothing is left to search.  Without the error model the grids
+    pin sim_weight to 1.
     """
-    started = time.perf_counter()
-    train, test = split(pairs, seed)
+    train, _ = split(pairs, seed)
     fixed = dict(fixed or {})
     threshold = fixed.pop("threshold", None)
-    resolved_cls = resolve_hyperparameters(
-        train,
-        shingler_config,
-        ranker_function,
-        use_error_model=use_error_model,
-        fixed=fixed,
-        grids=grids,
-        folds=folds,
-        seed=seed,
-        objective="accuracy",
-    )
-    system = _system_from_resolved(
-        shingler_config, ranker_function, resolved_cls, use_error_model, threshold
-    )
-    system.fit(train)
-    accuracy = eval_classification(system, test)
 
-    if resolved_cls.get("objective") == "fixed":
-        resolved_rank = resolved_cls
-        rank_system = system
-    else:
-        resolved_rank = resolve_hyperparameters(
+    def resolve(objective: str) -> dict:
+        return resolve_hyperparameters(
             train,
             shingler_config,
             ranker_function,
@@ -776,14 +712,16 @@ def run_experiment(
             grids=grids,
             folds=folds,
             seed=seed,
-            objective="mrr",
+            objective=objective,
         )
-        rank_system = _system_from_resolved(
-            shingler_config, ranker_function, resolved_rank, use_error_model
-        )
-        rank_system.fit(train)
-    lexicon = dataset_lexicon(pairs, extra_lexicon)
-    mrr, ranks = eval_mrr(rank_system, test, lexicon)
+
+    resolved_cls = resolve("accuracy")
+    classifier = fit_pipeline(train, shingler_config, ranker_function, resolved_cls, threshold)
+    if resolved_cls.get("objective") == "fixed":
+        resolved_rank, ranker = resolved_cls, classifier
+    else:
+        resolved_rank = resolve("mrr")
+        ranker = fit_pipeline(train, shingler_config, ranker_function, resolved_rank)
 
     def summarize(resolved):
         out = {key: resolved[key] for key in GRID_KEYS}
@@ -797,7 +735,7 @@ def run_experiment(
         "mode": shingler_config.mode,
         "gram_sizes": list(shingler_config.gram_sizes),
         "use_error_model": use_error_model,
-        "threshold": system.scorer.config.threshold,
+        "threshold": classifier.config.threshold,
         "classification": summarize(resolved_cls),
         "ranking": summarize(resolved_rank),
     }
@@ -807,17 +745,14 @@ def run_experiment(
         label = f"{sizes}-gram {ends[shingler_config.mode]} {ranker_function}"
         if use_error_model:
             label += " + error model"
-    return EvalReport(
-        label=label,
-        accuracy=accuracy,
-        mrr=mrr,
-        per_query_ranks=ranks,
-        hyperparameters=hyperparameters,
-        seed=seed,
-        train_size=len(train),
-        test_size=len(test),
-        lexicon_size=len(lexicon),
-        runtime_seconds=time.perf_counter() - started,
+    return evaluate(
+        PipelineSystem(classifier),
+        PipelineSystem(ranker),
+        pairs,
+        seed,
+        label,
+        hyperparameters,
+        extra_lexicon,
     )
 
 
@@ -827,26 +762,11 @@ def run_baseline_experiment(
     seed: int = 42,
     extra_lexicon: Optional[Sequence[str]] = None,
 ) -> EvalReport:
-    """Split, fit the baseline threshold on train, and evaluate on test."""
-    started = time.perf_counter()
-    train, test = split(pairs, seed)
-    system = BaselineSystem(method)
-    system.fit(train)
-    accuracy = eval_classification(system, test)
-    lexicon = dataset_lexicon(pairs, extra_lexicon)
-    mrr, ranks = eval_mrr(system, test, lexicon)
-    return EvalReport(
-        label=method,
-        accuracy=accuracy,
-        mrr=mrr,
-        per_query_ranks=ranks,
-        hyperparameters={"method": method, "threshold": system.threshold},
-        seed=seed,
-        train_size=len(train),
-        test_size=len(test),
-        lexicon_size=len(lexicon),
-        runtime_seconds=time.perf_counter() - started,
-    )
+    """Split, learn the baseline threshold on train, and evaluate on test."""
+    train, _ = split(pairs, seed)
+    system = BaselineSystem(method, train)
+    hyperparameters = {"method": method, "threshold": system.threshold}
+    return evaluate(system, system, pairs, seed, method, hyperparameters, extra_lexicon)
 
 
 @dataclass(frozen=True)

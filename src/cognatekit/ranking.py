@@ -54,9 +54,16 @@ RANKING_FUNCTIONS = (
 )
 
 
+# Smallest Dirichlet mu.  With mu >= 1e-6, mu / (mu + |D|) stays far above
+# the smallest positive float, so ln(mu / (mu + |D|)) is finite, and
+# 1 / (mu * p(t|C)) <= 1e6 * (sum of |D| + |V| + 1) cannot overflow.  A
+# subnormal mu would make the first log(0) and the second inf.
+MIN_MU = 1e-6
+
+
 @dataclass(frozen=True)
 class RankerParams:
-    """Ranking-function choice and its parameters."""
+    """Ranking-function choice and its parameters; ``mu`` is at least :data:`MIN_MU`."""
 
     function: str = "dirichlet"
     k1: float = 1.2
@@ -72,8 +79,8 @@ class RankerParams:
             raise ConfigError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ConfigError(f"b must be in [0, 1], got {self.b}")
-        if not 0.0 < self.mu < math.inf:
-            raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
+        if not MIN_MU <= self.mu < math.inf:
+            raise ConfigError(f"mu must be finite and >= {MIN_MU}, got {self.mu}")
 
 
 class LexiconIndex:
@@ -329,9 +336,12 @@ def rank(
 
 
 def _read_lines(path, kind: str) -> list[str]:
-    """The lines of a UTF-8 text file; an unreadable or undecodable file is a DataError."""
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped.
+
+    An unreadable or undecodable file is a DataError.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
@@ -342,7 +352,8 @@ def _read_lines(path, kind: str) -> list[str]:
 def load_lexicon(path) -> list[str]:
     """Read a one-word-per-line UTF-8 lexicon.
 
-    Blank lines and lines starting with '#' are ignored.  Invalid words
+    Blank lines and lines starting with '#' are ignored; a leading
+    byte-order mark is dropped.  Invalid words
     raise :class:`DataError` with their line number; a file that holds
     no word or is not UTF-8 raises it too.
     """

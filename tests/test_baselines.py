@@ -12,7 +12,7 @@ from cognatekit import (
     normalized_edit_similarity,
     xdice_words,
 )
-from cognatekit.baselines import BaselineScore, baseline_score, lcs_length
+from cognatekit.baselines import lcs_length
 
 from conftest import random_word
 
@@ -147,9 +147,3 @@ class TestSimilarityScale:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             baseline_similarity("soundex", "a", "b")
-
-    def test_score_record(self):
-        assert baseline_score("edit_distance", "mesia", "messia") == BaselineScore(
-            "edit_distance", 1.0
-        )
-        assert baseline_score("lcsr", "rosmarin", "romarin").value == pytest.approx(7 / 8)

@@ -99,10 +99,11 @@ class TestClassifyCommand:
             (("score_config", "ranker", "mu"), NAN),
             (("index_words",), "abc"),
             (("sim_max",), None),
+            (("score_config", "ranker", "mu"), 5e-324),
         ],
         ids=[
             "gram-size-1", "nan-sim-min", "empty-index", "index-word-with-space",
-            "nan-alpha", "nan-mu", "index-words-string", "one-bound-only",
+            "nan-alpha", "nan-mu", "index-words-string", "one-bound-only", "subnormal-mu",
         ],
     )
     def test_bad_model_values_are_data_errors(self, model_file, keys, value, capsys):
@@ -151,6 +152,15 @@ class TestRankCommand:
         lexicon.write_text("noche\nnacht\nnotte\n")
         assert main(["rank", "nuit", "--lexicon", str(lexicon), "-k", k]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mu", ["5e-324", "1e-310"])
+    def test_subnormal_mu_is_usage_error(self, tmp_path, mu, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("abc\nabd\nxyz\n")
+        assert main(["rank", "abc", "--lexicon", str(lexicon), "--mu", mu]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mu" in captured.err
 
     def test_empty_lexicon_is_data_error(self, tmp_path, capsys):
         lexicon = tmp_path / "lex.txt"
@@ -204,6 +214,23 @@ class TestEvalCommand:
         assert code == 0
         assert "model:" in capsys.readouterr().out
 
+    def test_saved_model_reports_what_training_in_process_reports(
+        self, model_file, synthetic_dataset_file, tmp_path
+    ):
+        # the model was written by `train --no-tune --seed 42`: the same
+        # scorer on the same split as `eval --no-tune --seed 42`
+        saved, fresh = tmp_path / "saved.json", tmp_path / "fresh.json"
+        dataset = str(synthetic_dataset_file)
+        assert main(["eval", "--dataset", dataset, "--model", str(model_file),
+                     "--out", str(saved)]) == 0
+        assert main(["eval", "--dataset", dataset, "--seed", "42", "--no-tune",
+                     "--out", str(fresh)]) == 0
+        saved_result, fresh_result = (
+            json.loads(path.read_text())["results"] for path in (saved, fresh)
+        )
+        for key in ("accuracy", "mrr", "per_query_ranks", "train_size", "test_size",
+                    "lexicon_size"):
+            assert saved_result[key] == fresh_result[key], key
 
     def test_empty_lexicon_is_data_error(self, tmp_path, synthetic_dataset_file, capsys):
         lexicon = tmp_path / "lex.txt"

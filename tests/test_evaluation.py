@@ -16,13 +16,14 @@ from cognatekit import (
     DataError,
     LabeledPair,
     PipelineSystem,
-    RankerParams,
     ShinglerConfig,
     ablation,
     build_index,
     eval_classification,
     eval_mrr,
+    fit_pipeline,
     load_dataset,
+    rank,
     run_baseline_experiment,
     run_experiment,
     shingle,
@@ -30,7 +31,7 @@ from cognatekit import (
     train_error_model,
     tune,
 )
-from cognatekit.baselines import BASELINE_METHODS
+from cognatekit.baselines import BASELINE_METHODS, baseline_similarity
 from cognatekit.error_model import ErrorModel
 from cognatekit.evaluation import (
     GRID_KEYS,
@@ -43,6 +44,7 @@ from cognatekit.evaluation import (
     resolve_hyperparameters,
     stratified_folds,
 )
+from cognatekit.ranking import order_scored
 
 from conftest import make_hard_synthetic_pairs, make_synthetic_pairs, random_word
 
@@ -101,6 +103,11 @@ class TestLoadDataset:
         path.write_text("\n\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_dataset(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"\xef\xbb\xbfmesia\tmessia\t1\n")
+        assert load_dataset(path) == [LabeledPair("mesia", "messia", True)]
 
 
 class TestSplit:
@@ -438,16 +445,9 @@ class TestExperiments:
         report = run_experiment(synthetic_pairs, TWO_END, "dirichlet", seed=42)
         resolved = report.hyperparameters["classification"]
         train, test = split(synthetic_pairs, seed=42)
-        system = PipelineSystem(
-            TWO_END,
-            RankerParams("dirichlet", mu=resolved["mu"]),
-            sim_weight=resolved["sim_weight"],
-            alpha=resolved["alpha"],
-            power=resolved["power"],
-        )
-        system.fit(train)
-        again = PipelineSystem.from_scorer(system.scorer)
-        assert eval_classification(again, test) == eval_classification(system, test)
+        system = PipelineSystem(fit_pipeline(train, TWO_END, "dirichlet", resolved))
+        assert system.scorer.config.threshold == report.hyperparameters["threshold"]
+        assert eval_classification(system, test) == report.accuracy
 
 
 class TestAblation:
@@ -490,20 +490,19 @@ class TestDatasetLexicon:
 class TestBaselineSystem:
     def test_fit_then_classify(self, synthetic_pairs):
         train, test = split(synthetic_pairs, seed=42)
-        system = BaselineSystem("lcsr")
-        system.fit(train)
+        system = BaselineSystem("lcsr", train)
         accuracy = eval_classification(system, test)
         assert accuracy >= 0.6  # separable synthetic data
 
     def test_rank_uses_shared_tie_rule(self):
-        system = BaselineSystem("xdice")
-        ranked = system.rank("noche", ["zz", "noche", "aa"])
-        assert ranked[0][0] == "noche"
-        assert [w for w, _ in ranked[1:]] == ["aa", "zz"]
+        system = BaselineSystem("xdice", [LabeledPair("noche", "noche", True)])
+        lexicon = ["zz", "noche", "aa"]
+        ranks = [system.target_rank("noche", lexicon, word) for word in ("noche", "aa", "zz")]
+        assert ranks == [1, 2, 3]
 
-    def test_unknown_method_rejected(self):
+    def test_unknown_method_rejected(self, synthetic_pairs):
         with pytest.raises(ConfigError):
-            BaselineSystem("metaphone")
+            BaselineSystem("metaphone", synthetic_pairs)
 
 
 class TestTargetRank:
@@ -529,27 +528,34 @@ class TestTargetRank:
     def position(ranking, target):
         return [word for word, _ in ranking].index(target) + 1
 
+    @staticmethod
+    def pipeline(pairs, sim_weight):
+        resolved = {"sim_weight": sim_weight, "alpha": 1.0, "power": 1.0,
+                    "mu": 10.0, "k1": 1.2, "b": 0.75}
+        return PipelineSystem(fit_pipeline(pairs, TWO_END, "dirichlet", resolved))
+
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
     def test_pipeline_system(self, synthetic_pairs, sim_weight):
-        system = PipelineSystem(TWO_END, RankerParams("dirichlet"), sim_weight=sim_weight)
-        system.fit(synthetic_pairs)
+        system = self.pipeline(synthetic_pairs, sim_weight)
+        per_query = system.scorer.with_config(normalization="per_query_minmax")
         rng = random.Random(f"pipeline{sim_weight}")
         for query, lexicon, target in self.cases(rng):
-            expected = self.position(system.rank(query, lexicon), target)
+            index = build_index(lexicon, TWO_END)
+            expected = self.position(rank(query, index, scorer=per_query), target)
             assert system.target_rank(query, lexicon, target) == expected
 
     @pytest.mark.parametrize("method", BASELINE_METHODS)
-    def test_baseline_system(self, method):
-        system = BaselineSystem(method)
+    def test_baseline_system(self, synthetic_pairs, method):
+        system = BaselineSystem(method, synthetic_pairs)
         rng = random.Random(method)
         for query, lexicon, target in self.cases(rng):
-            expected = self.position(system.rank(query, lexicon), target)
+            scores = [baseline_similarity(method, query, word) for word in lexicon]
+            expected = self.position(order_scored(lexicon, scores), target)
             assert system.target_rank(query, lexicon, target) == expected
 
     def test_pipeline_scores_only_documents_that_can_outrank_the_target(self, monkeypatch):
         pairs = make_hard_synthetic_pairs(60, 60)
-        system = PipelineSystem(TWO_END, RankerParams("dirichlet"), sim_weight=0.2)
-        system.fit(pairs)
+        system = self.pipeline(pairs, 0.2)
         lexicon = dataset_lexicon(pairs)
         calls = []
         real_score = ErrorModel.transformation_score
@@ -565,7 +571,6 @@ class TestTargetRank:
         assert len(calls) < len(queries) * len(lexicon) / 2
 
     def test_missing_target_is_a_data_error(self, synthetic_pairs):
-        system = PipelineSystem(TWO_END, RankerParams("dirichlet"), sim_weight=0.4)
-        system.fit(synthetic_pairs)
+        system = self.pipeline(synthetic_pairs, 0.4)
         with pytest.raises(DataError, match="zz"):
             system.target_rank("aa", ["aa", "bb"], "zz")

@@ -63,7 +63,3 @@ class TestReportShape:
             1 for p in with_error_model.per_query_ranks if p >= 1
         )
         assert positives == len(with_error_model.per_query_ranks) > 0
-
-    def test_runtime_recorded_but_not_persisted(self, with_error_model):
-        assert with_error_model.runtime_seconds > 0.0
-        assert "runtime" not in " ".join(with_error_model.to_dict())

@@ -17,7 +17,13 @@ from cognatekit import (
     shingle,
     sim,
 )
-from cognatekit.ranking import extended_bigram_tokens, order_scored, sim_all, target_rank
+from cognatekit.ranking import (
+    MIN_MU,
+    extended_bigram_tokens,
+    order_scored,
+    sim_all,
+    target_rank,
+)
 
 from conftest import random_word
 
@@ -178,6 +184,14 @@ class TestSim:
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError):
                     RankerParams("bm25", **{name: value})
+        # subnormal or below the floor: log(0) or an infinite token weight
+        for mu in (5e-324, 1e-310, MIN_MU / 2):
+            with pytest.raises(ConfigError, match="mu"):
+                RankerParams("dirichlet", mu=mu)
+        index = build_index(["noche", "nacht", "notte", "n"], PLAIN2)
+        query = shingle("nuitnacht", PLAIN2)
+        scores = sim_all(query, index, RankerParams("dirichlet", mu=MIN_MU))
+        assert all(math.isfinite(score) for score in scores)
 
 
 class TestSimAll:
@@ -345,6 +359,11 @@ class TestLexiconFile:
         path = tmp_path / "lex.txt"
         path.write_text("# header\nnoche\n\nNACHT\n  # indented comment\nnotte\n")
         assert load_lexicon(path) == ["noche", "nacht", "notte"]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"\xef\xbb\xbfnoche\nnacht\n")
+        assert load_lexicon(path) == ["noche", "nacht"]
 
     def test_file_without_words_is_a_data_error(self, tmp_path):
         path = tmp_path / "empty-lexicon.txt"
