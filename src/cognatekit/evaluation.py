@@ -11,12 +11,16 @@ to stable pair identity, so results do not depend on input file order.
 
 MRR cost: only the true target's rank is read.  ``eval_mrr`` asks the
 system for ``target_rank``; the pipeline scores the target exactly and
-then only the words whose score bound reaches it, never sorting.  In
-``tune`` the transformation scores of a fold's query x word pairs come
-from count sequences, scored once per distinct sequence and (alpha,
-power), and a grid combination that reads the same parameter values as
-an earlier one (weight 0 ignores mu/k1/b, weight 1 ignores alpha/power)
-is skipped, as it could only tie.  Every float is computed by the same
+then walks the words by similarity until a score bound falls below it,
+never sorting.  In ``tune`` the transformation scores of a fold's query
+x word pairs come from count sequences, scored once per distinct
+sequence and (alpha, power), and a grid combination that reads the same
+parameter values as an earlier one (weight 0 ignores mu/k1/b, weight 1
+ignores alpha/power) is skipped, as it could only tie.  For weights
+strictly between 0 and 1 a query's row is walked in cached descending
+normalized-sim order, each word bounded by the row's largest
+transformation score, and only the words before the first bound below
+the target's score are blended.  Every float is computed by the same
 expressions in the same order as a full ranking, so results are equal.
 
 A system is anything with the two methods the experiments read:
@@ -44,13 +48,21 @@ from .error_model import _count_seq, _mean_score, _nest, _power_table, build_gra
 from .ranking import (
     LexiconIndex,
     RankerParams,
+    _position,
     _read_lines,
     build_index,
     sim,
     sim_all,
     target_rank,
 )
-from .scorer import CombinedScorer, _blend, _normalize, learn_threshold, train_scorer
+from .scorer import (
+    CombinedScorer,
+    _blend,
+    _normalize,
+    _reaching,
+    learn_threshold,
+    train_scorer,
+)
 from .shingling import ShinglerConfig, ShingleSet, normalize_word, shingle
 
 
@@ -337,10 +349,13 @@ class _FoldCache:
         self.val = val
         self.function = function
         self.queries = [p for p in val if p.label]
+        self._index: Optional[LexiconIndex] = None
         self._norm: dict[tuple, tuple[list[float], list[float]]] = {}
         self._trans: dict[tuple, tuple[list[float], list[float]]] = {}
         self._norm_rows: dict[tuple, list[list[float]]] = {}
+        self._norm_orders: dict[tuple, list[list[int]]] = {}
         self._trans_rows: dict[tuple, list[list[float]]] = {}
+        self._trans_maxima: dict[tuple, list[float]] = {}
         self._pair_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
         self._row_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
         self.counts: Counter = Counter()
@@ -353,7 +368,6 @@ class _FoldCache:
         self.nested = _nest(self.counts)
         self.total = sum(self.counts.values())
         self.distinct = len(self.counts) + 1
-        self.index = build_index([p.target for p in train], shared.config)
         self.lexicon_index = lexicon_index
 
     def _table(self, alpha, power) -> dict[int, float]:
@@ -370,8 +384,10 @@ class _FoldCache:
         if cached is None:
             params = self._params(mu, k1, b)
             sets = self.shared.shingle_set
+            if self._index is None:
+                self._index = build_index([p.target for p in self.train], self.shared.config)
             tr_raw, val_raw = (
-                [sim(sets(p.source), sets(p.target), self.index, params) for p in part]
+                [sim(sets(p.source), sets(p.target), self._index, params) for p in part]
                 for part in (self.train, self.val)
             )
             lo, hi = min(tr_raw), max(tr_raw)
@@ -408,6 +424,18 @@ class _FoldCache:
             self._norm_rows[key] = cached
         return cached
 
+    def norm_orders(self, mu, k1, b) -> list[list[int]]:
+        """Each query's document ids by normalized sim, descending."""
+        key = (mu, k1, b)
+        cached = self._norm_orders.get(key)
+        if cached is None:
+            cached = [
+                sorted(range(len(row)), key=row.__getitem__, reverse=True)
+                for row in self.norm_rows(mu, k1, b)
+            ]
+            self._norm_orders[key] = cached
+        return cached
+
     def trans_rows(self, alpha, power) -> list[list[float]]:
         key = (alpha, power)
         cached = self._trans_rows.get(key)
@@ -420,6 +448,14 @@ class _FoldCache:
                 )
             cached = _score_rows(self._row_ids, self._table(alpha, power))
             self._trans_rows[key] = cached
+        return cached
+
+    def trans_maxima(self, alpha, power) -> list[float]:
+        """Each query's largest transformation score over the lexicon."""
+        key = (alpha, power)
+        cached = self._trans_maxima.get(key)
+        if cached is None:
+            cached = self._trans_maxima[key] = [max(row) for row in self.trans_rows(alpha, power)]
         return cached
 
 
@@ -446,15 +482,42 @@ def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional
     if not queries:
         return None
     weight = combo["sim_weight"]
-    norm_rows = trans_rows = [[]] * len(queries)
-    if weight > 0.0:
-        norm_rows = cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
-    if weight < 1.0:
-        trans_rows = cache.trans_rows(combo["alpha"], combo["power"])
+    if weight in (0.0, 1.0):  # one side decides alone: no bound to prune with
+        rows = (
+            cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
+            if weight == 1.0
+            else cache.trans_rows(combo["alpha"], combo["power"])
+        )
+        return _mean([
+            1.0 / target_rank(lex_words, row, pair.target) for pair, row in zip(queries, rows)
+        ])
     return _mean([
-        1.0 / target_rank(lex_words, _blend(weight, norms, trans), pair.target)
-        for pair, norms, trans in zip(queries, norm_rows, trans_rows)
+        1.0 / _walked_rank(weight, norms, order, trans, ceiling, lex_words, pair.target)
+        for pair, norms, order, trans, ceiling in zip(
+            queries,
+            cache.norm_rows(combo["mu"], combo["k1"], combo["b"]),
+            cache.norm_orders(combo["mu"], combo["k1"], combo["b"]),
+            cache.trans_rows(combo["alpha"], combo["power"]),
+            cache.trans_maxima(combo["alpha"], combo["power"]),
+        )
     ])
+
+
+def _walked_rank(weight, norms, order, trans, ceiling, words, target) -> int:
+    """The target's rank in the blended row, from the documents that can reach its score.
+
+    ``order`` walks the row by normalized sim, descending; a document's
+    bound blends its norm with the row's largest transformation score
+    ``ceiling``.  The walk stops at the first bound strictly below the
+    target's exact score.
+    """
+    t = _position(words, target)
+    best = _blend(weight, [norms[t]], [trans[t]])[0]
+    top = [ceiling]
+    walk = ((i, _blend(weight, [norms[i]], top)[0]) for i in order)
+    ids = _reaching(walk, best)
+    scores = _blend(weight, [norms[i] for i in ids], [trans[i] for i in ids])
+    return target_rank([words[i] for i in ids], scores, target)
 
 
 def _effective_key(combo: dict) -> tuple:

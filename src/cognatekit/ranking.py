@@ -30,6 +30,12 @@ the same start: the summation order is unchanged and the floats equal
 ``sim``'s.  xdice gets postings over extended bigram tokens on its first
 query.  With ``k``, :func:`order_scored` finds the k-th largest score
 with ``heapq.nlargest`` and sorts only the scores that reach it.
+
+:func:`sim_order` walks the documents in non-increasing raw score for
+the combined scorer's pruned rankings.  The documents found in the
+query's postings are sorted; every other document scores what its size
+alone gives, so the index keeps each size's ids next to the postings and
+the walk reads one block per size, lazily, merged with the sorted ones.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, DataError, InvalidWordError
 from .shingling import ShinglerConfig, ShingleSet, normalize_word, shingle
@@ -83,12 +89,17 @@ class RankerParams:
             raise ConfigError(f"mu must be finite and >= {MIN_MU}, got {self.mu}")
 
 
+# a token's ids, each set's size, and the ids of each size
+_Postings = tuple[dict[str, list[int]], list[int], dict[int, list[int]]]
+
+
 class LexiconIndex:
     """Inverted index with document and collection statistics.
 
     ``postings`` maps each token to the ids (positions in ``docs``) of
     the documents holding it, in document order; ``df`` is their count.
-    ``words`` and ``doc_lens`` give each document's word and token count.
+    ``words`` and ``doc_lens`` give each document's word and token count,
+    and ``size_ids`` the ids of each token count.
     Duplicate words are kept as distinct documents; statistics reflect
     the list as given.
     """
@@ -101,13 +112,15 @@ class LexiconIndex:
             (doc.source_word, doc) for doc in (shingle(word, config) for word in lexicon)
         ]
         self.words = [word for word, _ in self.docs]
-        self.postings, self.doc_lens = _postings(doc.tokens for _, doc in self.docs)
+        self.postings, self.doc_lens, self.size_ids = _postings(
+            doc.tokens for _, doc in self.docs
+        )
         self.df = {token: len(ids) for token, ids in self.postings.items()}
         self.doc_count = len(self.docs)
         self.total_len = sum(self.doc_lens)
         self.avgdl = self.total_len / self.doc_count
         self.vocabulary_size = len(self.postings)
-        self._xdice: Optional[tuple[dict[str, list[int]], list[int]]] = None
+        self._xdice: Optional[_Postings] = None
 
     def __len__(self) -> int:
         return self.doc_count
@@ -116,22 +129,27 @@ class LexiconIndex:
         """Add-one smoothed collection probability of a token."""
         return (self.df.get(token, 0) + 1) / (self.total_len + self.vocabulary_size + 1)
 
-    def xdice_postings(self) -> tuple[dict[str, list[int]], list[int]]:
-        """Postings and document lengths over extended bigram tokens, built on first use."""
+    def xdice_postings(self) -> _Postings:
+        """Postings, sizes and ids by size over extended bigram tokens, built on first use."""
         if self._xdice is None:
             self._xdice = _postings(extended_bigram_tokens(word) for word in self.words)
         return self._xdice
 
 
-def _postings(token_sets: Iterable[Collection[str]]) -> tuple[dict[str, list[int]], list[int]]:
-    """Each token's ids (positions in ``token_sets``), ascending, and each set's size."""
+def _postings(token_sets: Iterable[Collection[str]]) -> _Postings:
+    """Each token's ids (positions in ``token_sets``), each set's size, each size's ids.
+
+    Id lists are ascending.
+    """
     postings: defaultdict[str, list[int]] = defaultdict(list)
+    size_ids: defaultdict[int, list[int]] = defaultdict(list)
     sizes = []
     for i, tokens in enumerate(token_sets):
         sizes.append(len(tokens))
+        size_ids[len(tokens)].append(i)
         for token in tokens:
             postings[token].append(i)
-    return dict(postings), sizes
+    return dict(postings), sizes, dict(size_ids)
 
 
 def build_index(lexicon: Sequence[str], config: ShinglerConfig) -> LexiconIndex:
@@ -219,6 +237,20 @@ def sim(
     return score
 
 
+def _query_postings(query: ShingleSet, index: LexiconIndex, function: str):
+    """The postings, document sizes, ids by size and query tokens ``function`` walks."""
+    if function == "xdice":
+        return (*index.xdice_postings(), extended_bigram_tokens(query.source_word))
+    return index.postings, index.doc_lens, index.size_ids, query.tokens
+
+
+def _unshared_score(function: str, query_len: int, doc_len: int, params: RankerParams) -> float:
+    """Raw score of a document that shares no token with the query: it depends on sizes only."""
+    if function in _WEIGHTED:
+        return _length_term(query_len, doc_len, params)
+    return _count_score(function, 0, query_len, doc_len)
+
+
 def sim_all(query: ShingleSet, index: LexiconIndex, params: RankerParams) -> list[float]:
     """:func:`sim` of ``query`` against every document, in document order.
 
@@ -227,20 +259,16 @@ def sim_all(query: ShingleSet, index: LexiconIndex, params: RankerParams) -> lis
     token order, as in :func:`sim`, so the floats are the same.
     """
     function = params.function
-    if function == "xdice":
-        postings, lens = index.xdice_postings()
-        tokens = extended_bigram_tokens(query.source_word)
-    else:
-        postings, lens, tokens = index.postings, index.doc_lens, query.tokens
+    postings, lens, _, tokens = _query_postings(query, index, function)
+    q = len(tokens)
     if function not in _WEIGHTED:
         shared = [0] * len(lens)
         for token in tokens:
             for i in postings.get(token, ()):
                 shared[i] += 1
-        q = len(tokens)
         return [_count_score(function, c, q, n) for c, n in zip(shared, lens)]
-    start = {n: _length_term(len(query), n, params) for n in set(lens)}
-    scores = [start[n] for n in lens]
+    start = {n: _unshared_score(function, q, n, params) for n in set(lens)}
+    scores = list(map(start.__getitem__, lens))
     for token in tokens:
         ids = postings.get(token)
         if ids is None:
@@ -249,6 +277,33 @@ def sim_all(query: ShingleSet, index: LexiconIndex, params: RankerParams) -> lis
         for i in ids:
             scores[i] += weight[lens[i]]
     return scores
+
+
+def sim_order(
+    query: ShingleSet, index: LexiconIndex, params: RankerParams, raws: Sequence[float]
+) -> Iterator[int]:
+    """Every document id once, in non-increasing order of ``raws``, the query's :func:`sim_all`.
+
+    The documents that share a token with the query are sorted by raw
+    score.  Every other document scores what its size alone gives, so
+    the others form one block per size; blocks are ordered by that score
+    and a block's ids are read only when the walk reaches it.  Consumers
+    stop early, so a walk costs the sort of the shared documents plus
+    the ids it yields.
+    """
+    function = params.function
+    postings, _, size_ids, tokens = _query_postings(query, index, function)
+    shared: set[int] = set()
+    for token in tokens:
+        shared.update(postings.get(token, ()))
+    score = raws.__getitem__
+    hits = sorted(shared, key=score, reverse=True)
+    q = len(tokens)
+    sizes = sorted(
+        size_ids, key=lambda n: _unshared_score(function, q, n, params), reverse=True
+    )
+    rest = (i for n in sizes for i in size_ids[n] if i not in shared)
+    return heapq.merge(hits, rest, key=score, reverse=True)
 
 
 def _check_top(k: Optional[int]) -> None:

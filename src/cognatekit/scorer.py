@@ -14,6 +14,16 @@ threshold.
 formulas; the scorer, :func:`train_scorer` and CV tuning call them.  The
 clamp in ``_normalize`` acts only on trained bounds: per-query bounds
 have lo <= r <= hi, and rounding is monotone, so 0 <= r - lo <= hi - lo.
+
+Pruned rankings (``score_top``, ``target_rank`` and the MRR tune) walk
+documents in non-increasing normalized similarity.  A document's bound
+blends its normalized similarity with a ceiling on the transformation
+score; both formulas are monotone in each input, and so is rounding, so
+bounds never increase along the walk and no exact score exceeds its
+bound.  The walk stops at the first bound strictly below the threshold
+(the k-th best exact score so far, or the target's exact score): no
+later document can pass it, and one that ties is still scored, so the
+word tie rule decides.  This is Fagin's Threshold Algorithm.
 """
 
 from __future__ import annotations
@@ -21,11 +31,20 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, TrainingError
 from .error_model import ErrorModel, train_error_model
-from .ranking import LexiconIndex, RankerParams, _position, build_index, sim, sim_all, target_rank
+from .ranking import (
+    LexiconIndex,
+    RankerParams,
+    _position,
+    build_index,
+    sim,
+    sim_all,
+    sim_order,
+    target_rank,
+)
 from .shingling import ShinglerConfig, ShingleSet, shingle
 
 NORMALIZATION_MODES = ("per_query_minmax", "trained_minmax")
@@ -144,11 +163,11 @@ class CombinedScorer:
         if index.config != self.shingler_config:
             raise ConfigError("index does not match the scorer's shingler config")
 
-    def _norm_sims(self, query: ShingleSet, index: LexiconIndex) -> list[float]:
-        raws = sim_all(query, index, self.config.ranker)
+    def _sim_bounds(self, raws: Sequence[float]) -> tuple[float, float]:
+        """The (lo, hi) that normalize ``raws``: their own min/max, or the trained bounds."""
         if self.config.normalization == "per_query_minmax":
-            return _normalize(raws, min(raws), max(raws))
-        return _normalize(raws, *self._trained_bounds())
+            return min(raws), max(raws)
+        return self._trained_bounds()
 
     def score_candidates(self, query: ShingleSet, index: LexiconIndex) -> list[float]:
         """Blended scores for every document of ``index``, in document order."""
@@ -156,67 +175,90 @@ class CombinedScorer:
         w = self.config.sim_weight
         norms = trans = []
         if w > 0.0:
-            norms = self._norm_sims(query, index)
+            raws = sim_all(query, index, self.config.ranker)
+            norms = _normalize(raws, *self._sim_bounds(raws))
         if w < 1.0:
             trans = [self.error_model.transformation_score(query, doc) for _, doc in index.docs]
         return _blend(w, norms, trans)
 
-    def _bounded(self, query: ShingleSet, index: LexiconIndex):
-        """Each document's score bound, and the exact blended score of one document.
+    def _walk(self, query: ShingleSet, index: LexiconIndex):
+        """Documents with their score bounds, bound-ordered, and the exact blended score.
 
-        A document's bound blends its normalized similarity with the
-        model's score ceiling; blending is monotone in each part, so no
-        score exceeds its bound.
+        The walk yields (id, bound) in non-increasing raw similarity, so
+        in non-increasing bound: normalizing and blending are monotone.
+        A bound blends the document's normalized similarity with the
+        model's score ceiling, and no score exceeds its bound.  Only the
+        documents the walk reaches are normalized.
         """
         w = self.config.sim_weight
-        norms = self._norm_sims(query, index)
-        ceiling = self.error_model.score_ceiling(max(len(query), max(index.doc_lens)))
-        bounds = _blend(w, norms, [ceiling] * len(norms))
+        ranker = self.config.ranker
+        raws = sim_all(query, index, ranker)
+        lo, hi = self._sim_bounds(raws)
+        ceiling = [self.error_model.score_ceiling(max(len(query), max(index.size_ids)))]
+        walk = (
+            (i, _blend(w, _normalize([raws[i]], lo, hi), ceiling)[0])
+            for i in sim_order(query, index, ranker, raws)
+        )
 
         def blended(i: int) -> float:
             trans = self.error_model.transformation_score(query, index.docs[i][1])
-            return _blend(w, [norms[i]], [trans])[0]
+            return _blend(w, _normalize([raws[i]], lo, hi), [trans])[0]
 
-        return bounds, blended
+        return walk, blended
 
     def score_top(self, query: ShingleSet, index: LexiconIndex, k: int) -> dict[int, float]:
         """Blended scores, by document id, of documents that include the best ``k``.
 
-        The ``k`` documents with the largest bounds are scored first: at
-        least ``k`` scores reach their lowest one, so a document whose
-        bound is strictly below it cannot be in the top ``k``.  Every
-        other document whose bound reaches it is scored too, as an equal
-        score can still win on the word tie rule.
+        The walk stops at the first document whose bound is strictly
+        below the k-th best exact score so far: that document and every
+        later one score below ``k`` others.  A document whose bound
+        equals it is scored, as an equal score can still win on the word
+        tie rule.
         """
         self._check_index(index)
         if self.config.sim_weight in (0.0, 1.0):  # one part decides alone: no bound to prune with
             return dict(enumerate(self.score_candidates(query, index)))
-        bounds, blended = self._bounded(query, index)
-        first = heapq.nlargest(k, range(len(bounds)), key=bounds.__getitem__)
-        scored = {i: blended(i) for i in first}
-        kth = min(scored.values())
-        for i, bound in enumerate(bounds):
-            if bound >= kth and i not in scored:
-                scored[i] = blended(i)
+        walk, blended = self._walk(query, index)
+        scored: dict[int, float] = {}
+        top: list[float] = []  # min-heap of the k best exact scores so far
+        for i, bound in walk:
+            if len(top) == k and bound < top[0]:
+                break
+            score = scored[i] = blended(i)
+            if len(top) < k:
+                heapq.heappush(top, score)
+            elif score > top[0]:
+                heapq.heapreplace(top, score)
         return scored
 
     def target_rank(self, query: ShingleSet, index: LexiconIndex, target: str) -> int:
         """1-based rank of ``target`` among the blended scores of ``index``'s documents.
 
-        Equal to its position in the full ranking.  Only documents whose
-        bound reaches the target's exact score are scored: any other
-        scores strictly below the target and cannot precede it.
+        Equal to its position in the full ranking.  The walk stops at the
+        first document whose bound is strictly below the target's exact
+        score: that document and every later one score below the target
+        and cannot precede it.
         """
         self._check_index(index)
         words = index.words
         if self.config.sim_weight in (0.0, 1.0):  # one part decides alone: no bound to prune with
             return target_rank(words, self.score_candidates(query, index), target)
-        bounds, blended = self._bounded(query, index)
         t = _position(words, target)
+        walk, blended = self._walk(query, index)
         best = blended(t)
-        ids = [i for i, bound in enumerate(bounds) if bound >= best]
+        ids = _reaching(walk, best)
         scores = [best if i == t else blended(i) for i in ids]
         return target_rank([words[i] for i in ids], scores, target)
+
+
+def _reaching(walk: Iterable[tuple[int, float]], threshold: float) -> list[int]:
+    """Ids of a bound-ordered walk before the first whose bound is strictly below ``threshold``."""
+    ids = []
+    for i, bound in walk:
+        if bound < threshold:
+            break
+        ids.append(i)
+    return ids
 
 
 def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:

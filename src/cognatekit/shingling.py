@@ -128,7 +128,9 @@ def shingle(word: str, config: ShinglerConfig) -> ShingleSet:
     """Tokens of ``word`` for every configured gram size, smaller sizes first.
 
     Gram i of m is numbered i from the left, or in ``two_end`` mode
-    m - i + 1 from the right when that is smaller.
+    m - i + 1 from the right when that is smaller.  A repeated gram keeps
+    only its first occurrence and the numbers count distinct grams:
+    one-end ``abab`` is ``1a 2ab 3ba 4b`` and two-end ``1a 2ab ba2 b1``.
     """
     word = normalize_word(word)
     mode = config.mode

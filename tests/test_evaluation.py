@@ -39,12 +39,14 @@ from cognatekit.evaluation import (
     _combo_mrr,
     _fold_caches,
     _resolve_grids,
+    _walked_rank,
     dataset_lexicon,
     format_report_table,
     resolve_hyperparameters,
     stratified_folds,
 )
-from cognatekit.ranking import order_scored
+from cognatekit.ranking import RANKING_FUNCTIONS, order_scored, target_rank
+from cognatekit.scorer import _blend
 
 from conftest import make_hard_synthetic_pairs, make_synthetic_pairs, random_word
 
@@ -384,6 +386,68 @@ class TestTune:
         # 27 combos: weight 0 reads 3 powers, weight 1 reads 3 mus, 0.5 all 9
         assert len(set(combos)) == 3 + 9 + 3
 
+    @staticmethod
+    def full_row_mrr(cache, combo, lex_words):
+        """The unpruned MRR: blend every full row and rank the target in it."""
+        norm_rows = trans_rows = [[]] * len(cache.queries)
+        weight = combo["sim_weight"]
+        if weight > 0.0:
+            norm_rows = cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
+        if weight < 1.0:
+            trans_rows = cache.trans_rows(combo["alpha"], combo["power"])
+        total = 0.0
+        for pair, norms, trans in zip(cache.queries, norm_rows, trans_rows):
+            total += 1.0 / target_rank(lex_words, _blend(weight, norms, trans), pair.target)
+        return total / len(cache.queries)
+
+    @pytest.mark.parametrize("function", RANKING_FUNCTIONS)
+    def test_walked_mrr_equals_full_rows(self, function):
+        pairs = make_hard_synthetic_pairs(20, 20)
+        lex_words = list(dict.fromkeys(p.target for p in pairs))
+        lexicon = build_index(lex_words, TWO_END)
+        caches = _fold_caches(pairs, TWO_END, function, True, 5, 42, lexicon)
+        for cache in caches:
+            for weight in (0.0, 0.2, 0.5, 0.8, 1.0):
+                for power in (0.25, 4.0):
+                    combo = {"sim_weight": weight, "power": power, "alpha": 1.0,
+                             "mu": 5.0, "k1": 1.2, "b": 0.75}
+                    expected = self.full_row_mrr(cache, combo, lex_words)
+                    assert _combo_mrr(cache, combo, lex_words) == expected
+
+    def test_walked_rank_equals_full_row_on_heavy_ties(self):
+        # values on a coarse grid tie often, and a row whose target holds
+        # the largest transformation score puts an equal-norm document's
+        # bound exactly at the target's score
+        rng = random.Random(47)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for trial in range(2000):
+            n = rng.randint(1, 12)
+            words = rng.sample("abcdefghijklmnop", n)
+            norms = [rng.choice(grid) for _ in range(n)]
+            trans = [rng.choice(grid) for _ in range(n)]
+            t = rng.randrange(n)
+            if trial % 2:
+                trans[t] = max(trans)
+                norms[rng.randrange(n)] = norms[t]
+            weight = rng.choice([0.2, 0.5, 0.75])
+            order = sorted(range(n), key=norms.__getitem__, reverse=True)
+            expected = target_rank(words, _blend(weight, norms, trans), words[t])
+            walked = _walked_rank(weight, norms, order, trans, max(trans), words, words[t])
+            assert walked == expected
+
+    def test_mrr_tune_builds_no_fold_index(self, monkeypatch):
+        built = []
+        real_build = evaluation.build_index
+
+        def counting_build(words, config):
+            built.append(len(words))
+            return real_build(words, config)
+
+        monkeypatch.setattr(evaluation, "build_index", counting_build)
+        pairs = make_hard_synthetic_pairs(20, 20)
+        tune(pairs, TWO_END, "dirichlet", grids={"sim_weight": [0.0, 0.5, 1.0]}, objective="mrr")
+        assert built == [len(set(p.target for p in pairs))]  # the lexicon's alone
+
     def test_irrelevant_dimensions_collapse(self, synthetic_pairs):
         resolved = resolve_hyperparameters(
             synthetic_pairs,
@@ -529,20 +593,26 @@ class TestTargetRank:
         return [word for word, _ in ranking].index(target) + 1
 
     @staticmethod
-    def pipeline(pairs, sim_weight):
+    def pipeline(pairs, sim_weight, function="dirichlet"):
         resolved = {"sim_weight": sim_weight, "alpha": 1.0, "power": 1.0,
                     "mu": 10.0, "k1": 1.2, "b": 0.75}
-        return PipelineSystem(fit_pipeline(pairs, TWO_END, "dirichlet", resolved))
+        return PipelineSystem(fit_pipeline(pairs, TWO_END, function, resolved))
 
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
     def test_pipeline_system(self, synthetic_pairs, sim_weight):
-        system = self.pipeline(synthetic_pairs, sim_weight)
-        per_query = system.scorer.with_config(normalization="per_query_minmax")
-        rng = random.Random(f"pipeline{sim_weight}")
-        for query, lexicon, target in self.cases(rng):
-            index = build_index(lexicon, TWO_END)
-            expected = self.position(rank(query, index, scorer=per_query), target)
-            assert system.target_rank(query, lexicon, target) == expected
+        # the system normalizes per query; its scorer, with trained bounds,
+        # walks the same way and is checked too
+        for function in RANKING_FUNCTIONS:
+            system = self.pipeline(synthetic_pairs, sim_weight, function)
+            trained = system.scorer
+            per_query = trained.with_config(normalization="per_query_minmax")
+            rng = random.Random(f"pipeline{sim_weight}{function}")
+            for query, lexicon, target in self.cases(rng):
+                index = build_index(lexicon, TWO_END)
+                expected = self.position(rank(query, index, scorer=per_query), target)
+                assert system.target_rank(query, lexicon, target) == expected
+                expected = self.position(rank(query, index, scorer=trained), target)
+                assert trained.target_rank(shingle(query, TWO_END), index, target) == expected
 
     @pytest.mark.parametrize("method", BASELINE_METHODS)
     def test_baseline_system(self, synthetic_pairs, method):

@@ -22,6 +22,7 @@ from cognatekit.ranking import (
     extended_bigram_tokens,
     order_scored,
     sim_all,
+    sim_order,
     target_rank,
 )
 
@@ -214,6 +215,34 @@ class TestSimAll:
                 )
                 expected = [sim(query, doc, index, params).hex() for _, doc in index.docs]
                 assert [score.hex() for score in sim_all(query, index, params)] == expected
+
+
+class TestSimOrder:
+    @pytest.mark.parametrize("mode", ("plain", "two_end"))
+    def test_every_id_once_in_non_increasing_raw_score(self, mode):
+        # duplicate words, words sharing nothing with the query, and
+        # queries sharing no token at all
+        config = ShinglerConfig((2,), mode)
+        rng = random.Random(f"order{mode}")
+        for _ in range(40):
+            words = [random_word(rng, 1, 9) for _ in range(rng.randint(1, 40))]
+            words += rng.sample(words, rng.randint(0, len(words)))
+            index = build_index(words, config)
+            query = shingle(rng.choice([rng.choice(words), random_word(rng, 1, 6), "q"]), config)
+            for name in ALL_FUNCTIONS:
+                params = RankerParams(name, mu=rng.choice([0.5, 10.0, 100.0]))
+                raws = sim_all(query, index, params)
+                order = list(sim_order(query, index, params, raws))
+                assert sorted(order) == list(range(len(words)))
+                walked = [raws[i] for i in order]
+                assert walked == sorted(raws, reverse=True)
+
+    def test_short_unshared_documents_precede_long_shared_ones(self):
+        index = build_index(["abuvwxyzuvwxyz", "q", "abrstuvwxyzqp", "zz"], TWO_END)
+        params = RankerParams("dirichlet", mu=10.0)
+        query = shingle("abcdefgh", TWO_END)
+        raws = sim_all(query, index, params)
+        assert list(sim_order(query, index, params, raws)) == [1, 3, 0, 2]
 
 
 class TestMicroCorpus:

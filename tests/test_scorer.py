@@ -23,6 +23,7 @@ from cognatekit import (
     train_scorer,
 )
 from cognatekit.error_model import ErrorModel
+from cognatekit.ranking import RANKING_FUNCTIONS, sim_all
 from cognatekit.scorer import NORMALIZATION_MODES, _blend, _normalize
 
 from conftest import random_word
@@ -47,7 +48,7 @@ def toy_scorer(sim_weight=0.6, normalization="trained_minmax", threshold=0.5):
     )
 
 
-def fitted_scorer(rng_seed=31, n=40, **kwargs):
+def fitted_scorer(rng_seed=31, n=40, function="dirichlet", **kwargs):
     rng = random.Random(rng_seed)
     triples = []
     for i in range(n):
@@ -56,7 +57,7 @@ def fitted_scorer(rng_seed=31, n=40, **kwargs):
             triples.append((w, w + "e", True))
         else:
             triples.append((w, random_word(rng, 3, 8), False))
-    return train_scorer(triples, TWO_END, RankerParams("dirichlet"), **kwargs), triples
+    return train_scorer(triples, TWO_END, RankerParams(function), **kwargs), triples
 
 
 class TestCombinedScore:
@@ -236,24 +237,84 @@ class TestTopK:
                 words = [random_word(rng, 2, 8) for _ in range(rng.randint(1, 40))]
                 yield words + rng.sample(words, rng.randint(0, len(words)))
 
+    @staticmethod
+    def expected(scorer, query, index):
+        """The full ranking: every document scored, sorted by the tie rule."""
+        scores = scorer.score_candidates(shingle(query, TWO_END), index)
+        words = [word for word, _ in index.docs]
+        order = sorted(range(len(words)), key=lambda i: (-scores[i], words[i], i))
+        return [(words[i], scores[i]) for i in order]
+
+    def assert_top_k_and_target_ranks(self, scorer, query, index):
+        expected = self.expected(scorer, query, index)
+        for k in (1, 3, 10, len(index), len(index) + 5):
+            assert rank(query, index, scorer=scorer, k=k) == expected[:k]
+        ranked = [word for word, _ in expected]
+        for word in set(ranked):
+            position = ranked.index(word) + 1
+            assert scorer.target_rank(shingle(query, TWO_END), index, word) == position
+
     @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
     def test_rank_equals_brute_force(self, normalization, sim_weight):
-        fitted, triples = fitted_scorer()
-        config = replace(fitted.config, sim_weight=sim_weight, normalization=normalization)
-        rng = random.Random(f"{normalization}{sim_weight}")
-        for lexicon in self.lexicons(rng):
-            index = build_index(lexicon, TWO_END)
+        for function in RANKING_FUNCTIONS:
+            fitted, triples = fitted_scorer(function=function)
+            config = replace(fitted.config, sim_weight=sim_weight, normalization=normalization)
+            rng = random.Random(f"{normalization}{sim_weight}{function}")
+            for lexicon in self.lexicons(rng):
+                index = build_index(lexicon, TWO_END)
+                scorer = CombinedScorer(
+                    config, fitted.error_model, index, fitted.sim_min, fitted.sim_max
+                )
+                query = rng.choice([rng.choice(lexicon), rng.choice(triples)[0], "ab", "q"])
+                self.assert_top_k_and_target_ranks(scorer, query, index)
+
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+    def test_short_unshared_document_above_long_shared_ones(self, normalization):
+        # Dirichlet's length term: the one-token "q", which shares
+        # nothing, outscores every long word sharing "1a" and "2ab"
+        fitted, _ = fitted_scorer()
+        lexicon = ["abuvwxyzuvwxyz", "abtuvwxyzuvwxy", "q", "zz", "abrstuvwxyzqp"]
+        index = build_index(lexicon, TWO_END)
+        params = RankerParams("dirichlet", mu=10.0)
+        raws = sim_all(shingle("abcdefgh", TWO_END), index, params)
+        assert raws[2] > raws[3] > max(raws[0], raws[1], raws[4])
+        config = replace(fitted.config, ranker=params, sim_weight=0.9, normalization=normalization)
+        scorer = CombinedScorer(config, fitted.error_model, index, fitted.sim_min, fitted.sim_max)
+        self.assert_top_k_and_target_ranks(scorer, "abcdefgh", index)
+
+    @pytest.mark.parametrize("function", RANKING_FUNCTIONS)
+    def test_query_sharing_no_token(self, function):
+        fitted, _ = fitted_scorer(function=function)
+        index = build_index(["abc", "bcd", "cdef", "ab", "abc"], TWO_END)
+        config = replace(fitted.config, sim_weight=0.4, normalization="per_query_minmax")
+        scorer = CombinedScorer(config, fitted.error_model, index)
+        self.assert_top_k_and_target_ranks(scorer, "xyz", index)
+
+    def test_duplicate_words(self):
+        fitted, _ = fitted_scorer()
+        index = build_index(["abc", "abd", "abc", "xy", "abd", "abc"], TWO_END)
+        for normalization in NORMALIZATION_MODES:
+            config = replace(fitted.config, sim_weight=0.4, normalization=normalization)
             scorer = CombinedScorer(
                 config, fitted.error_model, index, fitted.sim_min, fitted.sim_max
             )
-            query = rng.choice([rng.choice(lexicon), rng.choice(triples)[0], "ab"])
-            scores = scorer.score_candidates(shingle(query, TWO_END), index)
-            words = [word for word, _ in index.docs]
-            order = sorted(range(len(words)), key=lambda i: (-scores[i], words[i], i))
-            expected = [(words[i], scores[i]) for i in order]
-            for k in (1, 3, 10, len(words), len(words) + 5):
-                assert rank(query, index, scorer=scorer, k=k) == expected[:k]
+            self.assert_top_k_and_target_ranks(scorer, "abc", index)
+
+    def test_a_bound_equal_to_the_threshold_across_a_block_boundary(self):
+        # trained bounds below every raw sim clamp each normalized sim to
+        # 1.0, so the words sharing tokens with "xy" and the unshared "aa",
+        # last in the walk, all reach the bound; "aa" must still win the tie
+        index = build_index(["xyz", "xyw", "zxy", "aa"], TWO_END)
+        ranker = RankerParams("intersection")
+        query = shingle("xy", TWO_END)
+        assert sim_all(query, index, ranker) == [2.0, 2.0, 1.0, 0.0]
+        scorer = CombinedScorer(ScoreConfig(0.4, ranker), FlatModel(), index, -2.0, -1.0)
+        scores = scorer.score_candidates(query, index)
+        assert len(set(scores)) == 1
+        assert rank("xy", index, scorer=scorer, k=1) == [("aa", scores[3])]
+        assert scorer.target_rank(query, index, "aa") == 1
+        assert scorer.target_rank(query, index, "zxy") == 4
 
     def test_a_bound_equal_to_the_kth_score_is_not_pruned(self):
         # a model whose ceiling its scores reach: equal scores then tie on

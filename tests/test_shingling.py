@@ -125,6 +125,11 @@ class TestOneEnd:
         assert split_k("a", 2, "one_end").tokens == ("1a",)
 
 
+    def test_repeated_gram_keeps_its_first_position(self):
+        # "ab" occurs twice; positions number the distinct grams
+        assert shingle("abab", ShinglerConfig((2,), "one_end")).tokens == ("1a", "2ab", "3ba", "4b")
+
+
 class TestTwoEnd:
     def test_romarin(self):
         assert split_k("romarin", 2, "two_end").tokens == (
@@ -159,6 +164,10 @@ class TestTwoEnd:
             assert all(1 <= position(t) <= math.ceil(m / 2) for t in two)
             one = split_k(word, 2, "one_end").tokens
             assert all(1 <= position(t) <= len(one) for t in one)
+
+
+    def test_repeated_gram_keeps_its_first_position(self):
+        assert shingle("abab", ShinglerConfig((2,), "two_end")).tokens == ("1a", "2ab", "ba2", "b1")
 
 
 class TestDispatch:
