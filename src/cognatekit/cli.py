@@ -73,6 +73,9 @@ def _shingler_config(args) -> ShinglerConfig:
     return ShinglerConfig(_parse_gram_sizes(args.k), _CLI_MODES[args.mode])
 
 
+_FOLDS_HELP = "cross-validation folds, at least 2; read only when something is tuned"
+
+
 def _add_hyper_flags(parser) -> None:
     parser.add_argument("--ranker", choices=RANKING_FUNCTIONS, default="dirichlet")
     parser.add_argument("--lambda", dest="sim_weight", type=float, default=None,
@@ -87,7 +90,7 @@ def _add_hyper_flags(parser) -> None:
                         help="decision cutoff; learned from training scores when omitted")
     parser.add_argument("--no-tune", action="store_true",
                         help="skip cross-validated tuning and use defaults/flags as-is")
-    parser.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    parser.add_argument("--folds", type=int, default=5, help=_FOLDS_HELP)
 
 
 _DEFAULTS = {"sim_weight": 0.6, "power": 1.0, "alpha": 1.0, "mu": 10.0, "k1": 1.2, "b": 0.75}
@@ -159,7 +162,7 @@ def build_parser() -> _Parser:
     p_ablate.add_argument("--out", help="write the report JSON here")
     p_ablate.add_argument("--seed", type=int, default=42)
     p_ablate.add_argument("--lexicon", help="extra lexicon file for the ranking experiment")
-    p_ablate.add_argument("--folds", type=int, default=5)
+    p_ablate.add_argument("--folds", type=int, default=5, help=_FOLDS_HELP)
 
     return parser
 

@@ -10,7 +10,9 @@ top token is connected to every bottom token.  An edge such as
 Edge frequencies counted over known cognate pairs, with additive
 smoothing, estimate how probable each transformation is; the mean of
 the smoothed edge probabilities (raised to a strength exponent) scores
-how plausibly one word transforms into the other.
+how plausibly one word transforms into the other.  Every model, trained
+or built per cross-validation fold, comes from :func:`_fit`, the one
+place that totals the counts and counts the unseen class.
 
 Every transformation score, whether from a trained :class:`ErrorModel`
 or from cross-validated tuning, goes through one kernel: the graph's
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -169,7 +172,6 @@ class ErrorModel:
     alpha: float = 1.0
     power: float = 1.0
     _table: dict = field(init=False, repr=False, compare=False)
-    _nested: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
@@ -185,12 +187,11 @@ class ErrorModel:
         counts = set(self.edge_counts.values()) | {0}
         table = _power_table(counts, self.total_count, self.distinct_edges, self.alpha, self.power)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_nested", _nest(self.edge_counts))
 
-    def edge_prob(self, edge) -> float:
-        """Smoothed probability of one edge, strictly inside (0, 1)."""
-        count = self.edge_counts.get(edge, 0)
-        return (count + self.alpha) / (self.total_count + self.alpha * self.distinct_edges)
+    @cached_property
+    def _nested(self) -> dict:
+        """The counts nested, built on first use: a tune's per-grid-point copies never read it."""
+        return _nest(self.edge_counts)
 
     def transformation_score(self, s: ShingleSet, t: ShingleSet) -> float:
         """Mean of smoothed edge probabilities (each raised to ``power``)."""
@@ -256,6 +257,20 @@ def model_from_dict(payload: dict) -> ErrorModel:
         raise DataError(f"malformed error-model document: {exc}") from exc
 
 
+def _fit(
+    counts: Mapping, config: ShinglerConfig, alpha: float = 1.0, power: float = 1.0
+) -> ErrorModel:
+    """The model of edge ``counts``: observed distinct edges plus one unseen class."""
+    return ErrorModel(
+        config=config,
+        edge_counts=dict(counts),
+        total_count=sum(counts.values()),
+        distinct_edges=len(counts) + 1,
+        alpha=alpha,
+        power=power,
+    )
+
+
 def train_error_model(
     pairs: Sequence,
     config: ShinglerConfig,
@@ -273,11 +288,4 @@ def train_error_model(
     for source, target in pairs:
         graph = build_graph(shingle(source, config), shingle(target, config))
         counts.update(graph.edges)
-    return ErrorModel(
-        config=config,
-        edge_counts=dict(counts),
-        total_count=sum(counts.values()),
-        distinct_edges=len(counts) + 1,
-        alpha=alpha,
-        power=power,
-    )
+    return _fit(counts, config, alpha, power)

@@ -10,18 +10,16 @@ training split; all randomness flows from one seed and splits are keyed
 to stable pair identity, so results do not depend on input file order.
 
 MRR cost: only the true target's rank is read.  ``eval_mrr`` asks the
-system for ``target_rank``; the pipeline scores the target exactly and
-then walks the words by similarity until a score bound falls below it,
-never sorting.  In ``tune`` the transformation scores of a fold's query
-x word pairs come from count sequences, scored once per distinct
-sequence and (alpha, power), and a grid combination that reads the same
-parameter values as an earlier one (weight 0 ignores mu/k1/b, weight 1
-ignores alpha/power) is skipped, as it could only tie.  For weights
-strictly between 0 and 1 a query's row is walked in cached descending
-normalized-sim order, each word bounded by the row's largest
-transformation score, and only the words before the first bound below
-the target's score are blended.  Every float is computed by the same
-expressions in the same order as a full ranking, so results are equal.
+system for ``target_rank``, and the pipeline answers with the
+bound-ordered walk of :mod:`cognatekit.scorer`, never sorting.  In
+``tune`` the transformation scores of a fold's query x word pairs come
+from count sequences, scored once per distinct sequence and (alpha,
+power), and a grid combination that reads the same parameter values as
+an earlier one (weight 0 ignores mu/k1/b, weight 1 ignores alpha/power)
+is skipped, as it could only tie.  For weights strictly between 0 and 1
+the MRR tune ranks each target with the same walk, over cached rows.
+Every float is computed by the same expressions in the same order as a
+full ranking, so results are equal.
 
 A system is anything with the two methods the experiments read:
 ``classify(source, target) -> bool`` and ``target_rank(query, lexicon,
@@ -39,16 +37,15 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from .baselines import baseline_similarity
 from .errors import ConfigError, DataError, InvalidWordError, TrainingError
-from .error_model import _count_seq, _mean_score, _nest, _power_table, build_graph
+from .error_model import _count_seq, _fit, _mean_score, build_graph
 from .ranking import (
     LexiconIndex,
     RankerParams,
-    _position,
     _read_lines,
     build_index,
     sim,
@@ -59,7 +56,7 @@ from .scorer import (
     CombinedScorer,
     _blend,
     _normalize,
-    _reaching,
+    _walked_rank,
     learn_threshold,
     train_scorer,
 )
@@ -335,12 +332,14 @@ def _score_rows(grouped: tuple[list[list[int]], list[tuple]], table) -> list[lis
 class _FoldCache:
     """Per-fold precomputation shared by every grid combination.
 
-    The fold's edge counts are kept nested, as in a trained
-    :class:`~cognatekit.error_model.ErrorModel`, and each pair's count
-    sequence comes from the same kernel.  Equal sequences get one id;
-    every (alpha, power) grid point scores each distinct sequence once
-    with the error model's kernel, so tuning and a model trained on the
-    fold's positives compute the same value.
+    ``model`` is the error model of the fold's positive training pairs,
+    built as :func:`~cognatekit.error_model.train_error_model` builds
+    one, and each pair's count sequence is read from its nested counts.
+    Equal sequences get one id; every (alpha, power) grid point scores
+    each distinct sequence once with that model's table, so tuning and a
+    model trained on the fold's positives compute the same value.  The
+    ranking rows feed the walk of :mod:`cognatekit.scorer`: ``norm_orders``
+    is its order and ``trans_maxima`` its ceilings.
     """
 
     def __init__(self, shared: _TuneCache, train, val, function, use_error_model, lexicon_index):
@@ -358,21 +357,18 @@ class _FoldCache:
         self._trans_maxima: dict[tuple, list[float]] = {}
         self._pair_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
         self._row_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
-        self.counts: Counter = Counter()
+        counts: Counter = Counter()
         if use_error_model:
             positives = [p for p in train if p.label]
             if not positives:
                 raise TrainingError("a cross-validation fold has no positive training pairs")
             for p in positives:
-                self.counts.update(shared.edges(p.source, p.target))
-        self.nested = _nest(self.counts)
-        self.total = sum(self.counts.values())
-        self.distinct = len(self.counts) + 1
+                counts.update(shared.edges(p.source, p.target))
+        self.model = _fit(counts, shared.config)
         self.lexicon_index = lexicon_index
 
     def _table(self, alpha, power) -> dict[int, float]:
-        values = set(self.counts.values()) | {0}
-        return _power_table(values, self.total, self.distinct, alpha, power)
+        return replace(self.model, alpha=alpha, power=power)._table
 
     def _params(self, mu: float, k1: float, b: float) -> RankerParams:
         return RankerParams(self.function, k1=k1, b=b, mu=mu)
@@ -400,9 +396,9 @@ class _FoldCache:
         cached = self._trans.get(key)
         if cached is None:
             if self._pair_ids is None:
-                sets = self.shared.shingle_set
+                sets, nested = self.shared.shingle_set, self.model._nested
                 self._pair_ids = _distinct_rows(
-                    [_count_seq(sets(p.source), sets(p.target), self.nested) for p in part]
+                    [_count_seq(sets(p.source), sets(p.target), nested) for p in part]
                     for part in (self.train, self.val)
                 )
             cached = tuple(_score_rows(self._pair_ids, self._table(alpha, power)))
@@ -443,8 +439,9 @@ class _FoldCache:
             if self._row_ids is None:
                 docs = [doc for _, doc in self.lexicon_index.docs]
                 sources = [self.shared.shingle_set(p.source) for p in self.queries]
+                nested = self.model._nested
                 self._row_ids = _distinct_rows(
-                    [_count_seq(source, doc, self.nested) for doc in docs] for source in sources
+                    [_count_seq(source, doc, nested) for doc in docs] for source in sources
                 )
             cached = _score_rows(self._row_ids, self._table(alpha, power))
             self._trans_rows[key] = cached
@@ -492,7 +489,9 @@ def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional
             1.0 / target_rank(lex_words, row, pair.target) for pair, row in zip(queries, rows)
         ])
     return _mean([
-        1.0 / _walked_rank(weight, norms, order, trans, ceiling, lex_words, pair.target)
+        1.0 / _walked_rank(
+            weight, lex_words, pair.target, order, norms.__getitem__, trans.__getitem__, ceiling
+        )
         for pair, norms, order, trans, ceiling in zip(
             queries,
             cache.norm_rows(combo["mu"], combo["k1"], combo["b"]),
@@ -501,23 +500,6 @@ def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional
             cache.trans_maxima(combo["alpha"], combo["power"]),
         )
     ])
-
-
-def _walked_rank(weight, norms, order, trans, ceiling, words, target) -> int:
-    """The target's rank in the blended row, from the documents that can reach its score.
-
-    ``order`` walks the row by normalized sim, descending; a document's
-    bound blends its norm with the row's largest transformation score
-    ``ceiling``.  The walk stops at the first bound strictly below the
-    target's exact score.
-    """
-    t = _position(words, target)
-    best = _blend(weight, [norms[t]], [trans[t]])[0]
-    top = [ceiling]
-    walk = ((i, _blend(weight, [norms[i]], top)[0]) for i in order)
-    ids = _reaching(walk, best)
-    scores = _blend(weight, [norms[i] for i in ids], [trans[i] for i in ids])
-    return target_rank([words[i] for i in ids], scores, target)
 
 
 def _effective_key(combo: dict) -> tuple:
@@ -541,15 +523,10 @@ def _fold_caches(
 ) -> list[_FoldCache]:
     """One cache per cross-validation fold, all sharing one :class:`_TuneCache`."""
     fold_groups = stratified_folds(pairs, folds, seed)
-    if len(fold_groups) < 2:
-        fold_groups = [list(pairs)]
     shared = _TuneCache(shingler_config)
     caches = []
     for i, val in enumerate(fold_groups):
-        if len(fold_groups) == 1:
-            train = val
-        else:
-            train = [p for j, fold in enumerate(fold_groups) for p in fold if j != i]
+        train = [p for j, fold in enumerate(fold_groups) for p in fold if j != i]
         caches.append(
             _FoldCache(shared, train, val, ranker_function, use_error_model, lexicon_index)
         )
@@ -570,14 +547,18 @@ def tune(
     """Cross-validated grid search; returns the winning hyperparameters.
 
     ``objective`` is ``accuracy`` (classification) or ``mrr`` (ranking).
-    Ties go to the earliest combination in grid order.  A combination
-    whose scores provably equal an earlier one's (the same values of
-    every parameter it reads) is not scored again: it could only tie.
+    ``folds`` must be at least 2 and ``pairs`` hold at least 2 pairs, so
+    that no fold validates on its own training pairs.  Ties go to the
+    earliest combination in grid order.  A combination whose scores
+    provably equal an earlier one's (the same values of every parameter
+    it reads) is not scored again: it could only tie.
     """
     if objective not in ("accuracy", "mrr"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
-    if not pairs:
-        raise TrainingError("tuning requires training pairs")
+    if folds < 2:
+        raise ConfigError(f"cross-validation needs at least 2 folds, got {folds}")
+    if len(pairs) < 2:
+        raise TrainingError(f"cross-validation needs at least 2 training pairs, got {len(pairs)}")
     merged = _resolve_grids(grids, ranker_function, use_error_model)
     lexicon_index = None
     lex_words: list[str] = []

@@ -15,15 +15,20 @@ formulas; the scorer, :func:`train_scorer` and CV tuning call them.  The
 clamp in ``_normalize`` acts only on trained bounds: per-query bounds
 have lo <= r <= hi, and rounding is monotone, so 0 <= r - lo <= hi - lo.
 
-Pruned rankings (``score_top``, ``target_rank`` and the MRR tune) walk
-documents in non-increasing normalized similarity.  A document's bound
-blends its normalized similarity with a ceiling on the transformation
-score; both formulas are monotone in each input, and so is rounding, so
-bounds never increase along the walk and no exact score exceeds its
-bound.  The walk stops at the first bound strictly below the threshold
-(the k-th best exact score so far, or the target's exact score): no
-later document can pass it, and one that ties is still scored, so the
-word tie rule decides.  This is Fagin's Threshold Algorithm.
+Pruned rankings walk documents in non-increasing normalized similarity.
+A document's bound blends its normalized similarity with a ceiling on
+the transformation score; both formulas are monotone in each input, and
+so is rounding, so bounds never increase along the walk and no exact
+score exceeds its bound.  The walk stops at the first bound strictly
+below the threshold: no later document can pass it, and one that ties
+is still scored, so the word tie rule decides.  The threshold is the
+k-th best exact score so far in ``score_top``, and the target's exact
+score in ``_walked_rank``, the one rank walk, which serves both
+``target_rank`` and the MRR tune of :mod:`cognatekit.evaluation`.  This
+is Fagin's Threshold Algorithm (Fagin, Lotem & Naor, JCSS 2003).  Its
+callers blend full rows at weights 0 and 1, where one part decides
+alone: at weight 0 every bound is the ceiling and the walk never stops
+early.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigError, TrainingError
 from .error_model import ErrorModel, train_error_model
@@ -182,49 +187,43 @@ class CombinedScorer:
         return _blend(w, norms, trans)
 
     def _walk(self, query: ShingleSet, index: LexiconIndex):
-        """Documents with their score bounds, bound-ordered, and the exact blended score.
+        """``_walked_rank``'s ``order, norm, trans, ceiling`` for ``query`` over ``index``.
 
-        The walk yields (id, bound) in non-increasing raw similarity, so
-        in non-increasing bound: normalizing and blending are monotone.
-        A bound blends the document's normalized similarity with the
-        model's score ceiling, and no score exceeds its bound.  Only the
-        documents the walk reaches are normalized.
+        Ids come in non-increasing raw similarity, and only the documents
+        a walk reaches are normalized and scored.
         """
-        w = self.config.sim_weight
         ranker = self.config.ranker
         raws = sim_all(query, index, ranker)
         lo, hi = self._sim_bounds(raws)
-        ceiling = [self.error_model.score_ceiling(max(len(query), max(index.size_ids)))]
-        walk = (
-            (i, _blend(w, _normalize([raws[i]], lo, hi), ceiling)[0])
-            for i in sim_order(query, index, ranker, raws)
-        )
+        model = self.error_model
 
-        def blended(i: int) -> float:
-            trans = self.error_model.transformation_score(query, index.docs[i][1])
-            return _blend(w, _normalize([raws[i]], lo, hi), [trans])[0]
+        def norm(i: int) -> float:
+            return _normalize([raws[i]], lo, hi)[0]
 
-        return walk, blended
+        def trans(i: int) -> float:
+            return model.transformation_score(query, index.docs[i][1])
+
+        ceiling = model.score_ceiling(max(len(query), max(index.size_ids)))
+        return sim_order(query, index, ranker, raws), norm, trans, ceiling
 
     def score_top(self, query: ShingleSet, index: LexiconIndex, k: int) -> dict[int, float]:
         """Blended scores, by document id, of documents that include the best ``k``.
 
-        The walk stops at the first document whose bound is strictly
-        below the k-th best exact score so far: that document and every
-        later one score below ``k`` others.  A document whose bound
-        equals it is scored, as an equal score can still win on the word
-        tie rule.
+        The walk's threshold is the k-th best exact score so far.
         """
         self._check_index(index)
-        if self.config.sim_weight in (0.0, 1.0):  # one part decides alone: no bound to prune with
+        w = self.config.sim_weight
+        if w in (0.0, 1.0):  # one part decides alone: no bound to prune with
             return dict(enumerate(self.score_candidates(query, index)))
-        walk, blended = self._walk(query, index)
+        order, norm, trans, ceiling = self._walk(query, index)
+        bound_trans = [ceiling]
         scored: dict[int, float] = {}
         top: list[float] = []  # min-heap of the k best exact scores so far
-        for i, bound in walk:
-            if len(top) == k and bound < top[0]:
+        for i in order:
+            n = [norm(i)]
+            if len(top) == k and _blend(w, n, bound_trans)[0] < top[0]:
                 break
-            score = scored[i] = blended(i)
+            score = scored[i] = _blend(w, n, [trans(i)])[0]
             if len(top) < k:
                 heapq.heappush(top, score)
             elif score > top[0]:
@@ -234,31 +233,37 @@ class CombinedScorer:
     def target_rank(self, query: ShingleSet, index: LexiconIndex, target: str) -> int:
         """1-based rank of ``target`` among the blended scores of ``index``'s documents.
 
-        Equal to its position in the full ranking.  The walk stops at the
-        first document whose bound is strictly below the target's exact
-        score: that document and every later one score below the target
-        and cannot precede it.
+        Equal to its position in the full ranking; see :func:`_walked_rank`.
         """
         self._check_index(index)
-        words = index.words
-        if self.config.sim_weight in (0.0, 1.0):  # one part decides alone: no bound to prune with
-            return target_rank(words, self.score_candidates(query, index), target)
-        t = _position(words, target)
-        walk, blended = self._walk(query, index)
-        best = blended(t)
-        ids = _reaching(walk, best)
-        scores = [best if i == t else blended(i) for i in ids]
-        return target_rank([words[i] for i in ids], scores, target)
+        w = self.config.sim_weight
+        if w in (0.0, 1.0):  # one part decides alone: no bound to prune with
+            return target_rank(index.words, self.score_candidates(query, index), target)
+        return _walked_rank(w, index.words, target, *self._walk(query, index))
 
 
-def _reaching(walk: Iterable[tuple[int, float]], threshold: float) -> list[int]:
-    """Ids of a bound-ordered walk before the first whose bound is strictly below ``threshold``."""
-    ids = []
-    for i, bound in walk:
-        if bound < threshold:
+def _walked_rank(weight, words, target, order, norm, trans, ceiling) -> int:
+    """1-based rank of ``target`` among the blended scores of ``words``, walked by bound.
+
+    ``order`` yields every id once, in non-increasing ``norm(i)``;
+    ``norm(i)`` and ``trans(i)`` are one document's parts, and no
+    ``trans(i)`` exceeds ``ceiling``.  The walk stops at the first bound
+    strictly below the target's exact score.
+    """
+    t = _position(words, target)
+    target_trans = trans(t)
+    best = _blend(weight, [norm(t)], [target_trans])[0]
+    bound_trans = [ceiling]
+    ids: list[int] = []
+    norms: list[float] = []
+    for i in order:
+        n = norm(i)
+        if _blend(weight, [n], bound_trans)[0] < best:
             break
         ids.append(i)
-    return ids
+        norms.append(n)
+    scores = _blend(weight, norms, [target_trans if i == t else trans(i) for i in ids])
+    return target_rank([words[i] for i in ids], scores, target)
 
 
 def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cognatekit import LabeledPair
+from cognatekit.error_model import _power_table
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzàâăçéèêîïôöșțüñ"
 SYLLABLES = [
@@ -15,6 +16,13 @@ SYLLABLES = [
 
 def random_word(rng, min_len=1, max_len=10):
     return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(min_len, max_len)))
+
+
+def edge_prob(model, edge):
+    """Smoothed probability of one edge: the model's table formula at power 1."""
+    count = model.edge_counts.get(edge, 0)
+    table = _power_table([count], model.total_count, model.distinct_edges, model.alpha, 1.0)
+    return table[count]
 
 
 def make_synthetic_pairs(n_pos, n_neg, seed=7):

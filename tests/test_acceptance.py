@@ -39,7 +39,7 @@ from cognatekit.error_model import EMPTY_TOKEN
 from cognatekit.evaluation import run_baseline_experiment, run_experiment
 from cognatekit.persistence import load_model, save_model
 
-from conftest import make_synthetic_pairs, random_word
+from conftest import edge_prob, make_synthetic_pairs, random_word
 
 TWO_END = ShinglerConfig((2,), "two_end")
 ONE_END = ShinglerConfig((2,), "one_end")
@@ -218,8 +218,8 @@ class TestCriterion3Properties:
             ]
             alpha = rng.choice([0.25, 0.5, 1.0, 2.0])
             model = train_error_model(pairs, TWO_END, alpha=alpha)
-            mass = sum(model.edge_prob(e) for e in model.edge_counts)
-            mass += model.edge_prob(("unseen", "unseen"))
+            mass = sum(edge_prob(model, e) for e in model.edge_counts)
+            mass += edge_prob(model, ("unseen", "unseen"))
             assert abs(mass - 1.0) <= 1e-12
         ok(3, f"smoothed edge mass sums to 1 within 1e-12 over {N_CASES} models")
 

@@ -247,5 +247,23 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["shingle", "word", "--wat"]) == 1
 
+    @pytest.mark.parametrize("command", ["eval", "train", "ablate"])
+    @pytest.mark.parametrize("folds", ["0", "-3", "1"])
+    def test_fewer_than_two_folds_is_usage_error(
+        self, command, folds, tmp_path, synthetic_dataset_file, capsys
+    ):
+        argv = [command, "--dataset", str(synthetic_dataset_file), "--folds", folds]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "model.json")]
+        assert main(argv) == 1
+        assert "at least 2 folds" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_folds_are_not_read_without_tuning(self, tmp_path, synthetic_dataset_file):
+        out = tmp_path / "model.json"
+        argv = ["train", "--dataset", str(synthetic_dataset_file), "--out", str(out)]
+        assert main(argv + ["--no-tune", "--folds", "0"]) == 0
+        assert out.exists()
+
     def test_missing_dataset_file_is_data_error(self, tmp_path):
         assert main(["eval", "--dataset", str(tmp_path / "none.tsv")]) == 2

@@ -17,6 +17,7 @@ from cognatekit import (
     LabeledPair,
     PipelineSystem,
     ShinglerConfig,
+    TrainingError,
     ablation,
     build_index,
     eval_classification,
@@ -39,14 +40,13 @@ from cognatekit.evaluation import (
     _combo_mrr,
     _fold_caches,
     _resolve_grids,
-    _walked_rank,
     dataset_lexicon,
     format_report_table,
     resolve_hyperparameters,
     stratified_folds,
 )
 from cognatekit.ranking import RANKING_FUNCTIONS, order_scored, target_rank
-from cognatekit.scorer import _blend
+from cognatekit.scorer import _blend, _walked_rank
 
 from conftest import make_hard_synthetic_pairs, make_synthetic_pairs, random_word
 
@@ -279,6 +279,22 @@ class TestTune:
         with pytest.raises(ConfigError):
             tune(synthetic_pairs, TWO_END, "dirichlet", grids={"mu": []})
 
+    @pytest.mark.parametrize("folds", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, synthetic_pairs, folds):
+        # one fold would validate on its own training pairs
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            tune(synthetic_pairs, TWO_END, "dirichlet", folds=folds)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_pairs_rejected(self, synthetic_pairs, n):
+        with pytest.raises(TrainingError, match="at least 2 training pairs"):
+            tune(synthetic_pairs[:n], TWO_END, "dirichlet")
+
+    def test_two_pairs_give_two_folds(self, synthetic_pairs):
+        pairs = [p for p in synthetic_pairs if p.label][:2]
+        grids = {"sim_weight": [0.5], "mu": [1.0, 10.0]}
+        assert tune(pairs, TWO_END, "dirichlet", grids=grids, folds=5)["folds"] == 2
+
     def test_input_order_does_not_change_tuned_results(self, synthetic_pairs):
         grids = {"sim_weight": [0.0, 0.6, 1.0], "power": [1.0], "mu": [10.0]}
         shuffled = list(synthetic_pairs)
@@ -415,14 +431,14 @@ class TestTune:
                     assert _combo_mrr(cache, combo, lex_words) == expected
 
     def test_walked_rank_equals_full_row_on_heavy_ties(self):
-        # values on a coarse grid tie often, and a row whose target holds
-        # the largest transformation score puts an equal-norm document's
-        # bound exactly at the target's score
+        # values on a coarse grid tie often, a row whose target holds the
+        # largest transformation score puts an equal-norm document's bound
+        # exactly at the target's score, and words repeat, as an index's may
         rng = random.Random(47)
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         for trial in range(2000):
             n = rng.randint(1, 12)
-            words = rng.sample("abcdefghijklmnop", n)
+            words = [rng.choice("abcde") for _ in range(n)]
             norms = [rng.choice(grid) for _ in range(n)]
             trans = [rng.choice(grid) for _ in range(n)]
             t = rng.randrange(n)
@@ -432,7 +448,9 @@ class TestTune:
             weight = rng.choice([0.2, 0.5, 0.75])
             order = sorted(range(n), key=norms.__getitem__, reverse=True)
             expected = target_rank(words, _blend(weight, norms, trans), words[t])
-            walked = _walked_rank(weight, norms, order, trans, max(trans), words, words[t])
+            walked = _walked_rank(
+                weight, words, words[t], order, norms.__getitem__, trans.__getitem__, max(trans)
+            )
             assert walked == expected
 
     def test_mrr_tune_builds_no_fold_index(self, monkeypatch):
