@@ -533,6 +533,11 @@ def _fold_caches(
     return caches
 
 
+def _check_folds(folds: int) -> None:
+    if folds < 2:
+        raise ConfigError(f"cross-validation needs at least 2 folds, got {folds}")
+
+
 def tune(
     pairs: Sequence[LabeledPair],
     shingler_config: ShinglerConfig,
@@ -555,8 +560,7 @@ def tune(
     """
     if objective not in ("accuracy", "mrr"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
-    if folds < 2:
-        raise ConfigError(f"cross-validation needs at least 2 folds, got {folds}")
+    _check_folds(folds)
     if len(pairs) < 2:
         raise TrainingError(f"cross-validation needs at least 2 training pairs, got {len(pairs)}")
     merged = _resolve_grids(grids, ranker_function, use_error_model)
@@ -843,9 +847,15 @@ def ablation(
     folds: int = 5,
     extra_lexicon: Optional[Sequence[str]] = None,
 ) -> list[EvalReport]:
-    """One tuned run per grid cell."""
+    """One tuned run per grid cell; when any cell tunes, ``folds`` is checked first."""
     if not cells:
         raise ConfigError("ablation grid is empty")
+    if any(
+        len(values) > 1
+        for cell in cells
+        for values in _resolve_grids(grids, cell.function, cell.use_error_model).values()
+    ):
+        _check_folds(folds)
     reports = []
     for cell in cells:
         reports.append(

@@ -20,30 +20,36 @@ Scores add left to right in explicit loops: ``sum()`` over floats is
 compensated from Python 3.12, tying scores to the version.
 
 The index keeps postings: each token's document ids, in document order.
-:func:`sim_all` scores a query against every document by walking only
-the postings of the query's tokens.  Each weighted score is a length
-term (Dirichlet's ``|Q| * ln(mu / (mu + |D|))``, else ``0.0``), computed
-once per distinct ``|D|``, plus one weight per shared token; the set
-measures count shared tokens.  Tokens are visited in query order, so
-each document takes its weights in the order :func:`sim` adds them, from
-the same start: the summation order is unchanged and the floats equal
-``sim``'s.  xdice gets postings over extended bigram tokens on its first
-query.  With ``k``, :func:`order_scored` finds the k-th largest score
-with ``heapq.nlargest`` and sorts only the scores that reach it.
+One walk over the postings of the query's tokens scores a query against
+every document.  Each weighted score is a length term (Dirichlet's
+``|Q| * ln(mu / (mu + |D|))``, else ``0.0``), computed once per distinct
+``|D|``, plus one weight per shared token; the set measures count shared
+tokens, and score once per (shared count, size).  Tokens are visited in
+query order, so each document takes its weights in the order :func:`sim`
+adds them, from the same start: the summation order is unchanged and the
+floats equal ``sim``'s.  xdice gets postings over extended bigram tokens
+on its first query.
 
-:func:`sim_order` walks the documents in non-increasing raw score for
-the combined scorer's pruned rankings.  The documents found in the
-query's postings are sorted; every other document scores what its size
-alone gives, so the index keeps each size's ids next to the postings and
-the walk reads one block per size, lazily, merged with the sorted ones.
+The walk also yields the *hits*, the documents sharing a token with the
+query.  Every other document scores what its size alone gives, its
+size's *start*, so the non-hits form one *block* per size.  The start
+row is built whole when every size starts at the same float, bit for
+bit (bm25, tfidf and the set measures); otherwise (Dirichlet) the index
+caches it per ranker parameters and query size, and each query copies
+it.  Top-k consumers read only the hits and one start per block, never
+all documents: :func:`rank` with ``k`` finds the k-th largest score
+among the hits and k documents of each block, and :func:`sim_order`
+sorts the hits and merges them with the blocks, lazily, for the combined
+scorer's pruned rankings.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, DataError, InvalidWordError
@@ -121,6 +127,7 @@ class LexiconIndex:
         self.avgdl = self.total_len / self.doc_count
         self.vocabulary_size = len(self.postings)
         self._xdice: Optional[_Postings] = None
+        self._start_rows: dict[tuple, list[float]] = {}
 
     def __len__(self) -> int:
         return self.doc_count
@@ -251,6 +258,69 @@ def _unshared_score(function: str, query_len: int, doc_len: int, params: RankerP
     return _count_score(function, 0, query_len, doc_len)
 
 
+# the most start rows an index keeps; each is one float per document
+_START_ROWS = 64
+
+
+def _start_row(
+    index: LexiconIndex, key: tuple, lens: Sequence[int], start: dict[int, float]
+) -> list[float]:
+    """A fresh row of each document's ``start`` score, in document order.
+
+    A row whose sizes all start at the same float (the same bits: 0.0 is
+    not -0.0) is built whole; any other row is built once per ``key``,
+    kept on ``index`` and copied.
+    """
+    values = list(start.values())
+    if len({value.hex() for value in values}) == 1:
+        return [values[0]] * len(lens)
+    rows = index._start_rows
+    row = rows.get(key)
+    if row is None:
+        if len(rows) >= _START_ROWS:
+            rows.clear()
+        row = rows[key] = list(map(start.__getitem__, lens))
+    return row.copy()
+
+
+def _scored(query: ShingleSet, index: LexiconIndex, params: RankerParams):
+    """One walk over the query's postings: ``raws, hits, size_ids, start``.
+
+    ``raws`` is :func:`sim_all`'s row; ``hits`` holds the ids of the
+    documents sharing a token with the query (a set, or for the set
+    measures a counter of shared tokens); ``size_ids`` maps each
+    document size to its ids, and ``start`` each size to the score of
+    its documents outside the hits.
+    """
+    function = params.function
+    postings, lens, size_ids, tokens = _query_postings(query, index, function)
+    q = len(tokens)
+    start = {n: _unshared_score(function, q, n, params) for n in size_ids}
+    raws = _start_row(index, (params, q), lens, start)
+    if function in _WEIGHTED:
+        hits: set[int] = set()
+        for token in tokens:
+            ids = postings.get(token)
+            if ids is None:
+                continue
+            hits.update(ids)
+            weight = {n: _term_weight(token, n, index, params) for n in start}
+            for i in ids:
+                raws[i] += weight[lens[i]]
+        return raws, hits, size_ids, start
+    shared: Counter[int] = Counter()
+    for token in tokens:
+        shared.update(postings.get(token, ()))
+    score_of: dict[tuple[int, int], float] = {}
+    for i, count in shared.items():
+        key = (count, lens[i])
+        score = score_of.get(key)
+        if score is None:
+            score = score_of[key] = _count_score(function, count, q, lens[i])
+        raws[i] = score
+    return raws, shared, size_ids, start
+
+
 def sim_all(query: ShingleSet, index: LexiconIndex, params: RankerParams) -> list[float]:
     """:func:`sim` of ``query`` against every document, in document order.
 
@@ -258,52 +328,49 @@ def sim_all(query: ShingleSet, index: LexiconIndex, params: RankerParams) -> lis
     at its length term and takes its shared tokens' weights in query
     token order, as in :func:`sim`, so the floats are the same.
     """
-    function = params.function
-    postings, lens, _, tokens = _query_postings(query, index, function)
-    q = len(tokens)
-    if function not in _WEIGHTED:
-        shared = [0] * len(lens)
-        for token in tokens:
-            for i in postings.get(token, ()):
-                shared[i] += 1
-        return [_count_score(function, c, q, n) for c, n in zip(shared, lens)]
-    start = {n: _unshared_score(function, q, n, params) for n in set(lens)}
-    scores = list(map(start.__getitem__, lens))
-    for token in tokens:
-        ids = postings.get(token)
-        if ids is None:
-            continue
-        weight = {n: _term_weight(token, n, index, params) for n in start}
-        for i in ids:
-            scores[i] += weight[lens[i]]
-    return scores
+    return _scored(query, index, params)[0]
 
 
 def sim_order(
-    query: ShingleSet, index: LexiconIndex, params: RankerParams, raws: Sequence[float]
-) -> Iterator[int]:
-    """Every document id once, in non-increasing order of ``raws``, the query's :func:`sim_all`.
+    query: ShingleSet, index: LexiconIndex, params: RankerParams
+) -> tuple[list[float], float, float, Iterator[int]]:
+    """The query's :func:`sim_all` row, its min and max, and every id once by raw score.
 
-    The documents that share a token with the query are sorted by raw
-    score.  Every other document scores what its size alone gives, so
-    the others form one block per size; blocks are ordered by that score
-    and a block's ids are read only when the walk reaches it.  Consumers
-    stop early, so a walk costs the sort of the shared documents plus
-    the ids it yields.
+    The ids come in non-increasing raw score.  The hits are sorted by
+    raw score; every other document scores its size's start, so the
+    others form one block per size, ordered by that score, and a block's
+    ids are read only when the walk reaches it.  The min and max come
+    from the sorted hits' ends and the starts of the blocks that hold a
+    document.  Consumers stop early, so a walk costs the sort of the hits
+    plus the ids it yields.
     """
-    function = params.function
-    postings, _, size_ids, tokens = _query_postings(query, index, function)
-    shared: set[int] = set()
-    for token in tokens:
-        shared.update(postings.get(token, ()))
+    raws, hits, size_ids, start = _scored(query, index, params)
     score = raws.__getitem__
-    hits = sorted(shared, key=score, reverse=True)
-    q = len(tokens)
-    sizes = sorted(
-        size_ids, key=lambda n: _unshared_score(function, q, n, params), reverse=True
-    )
-    rest = (i for n in sizes for i in size_ids[n] if i not in shared)
-    return heapq.merge(hits, rest, key=score, reverse=True)
+    ranked = sorted(hits, key=score, reverse=True)
+    ends = [score(ranked[0]), score(ranked[-1])] if ranked else []
+    ends += [start[n] for n, ids in size_ids.items() if not all(map(hits.__contains__, ids))]
+    sizes = sorted(size_ids, key=start.__getitem__, reverse=True)
+    rest = (i for n in sizes for i in size_ids[n] if i not in hits)
+    return raws, min(ends), max(ends), heapq.merge(ranked, rest, key=score, reverse=True)
+
+
+def _top_candidates(raws, hits, size_ids, start, k: int) -> list[int]:
+    """Ids of the documents whose raw score reaches the k-th largest; k is below their count.
+
+    Reads :func:`_scored`'s output.  The k-th largest is found among the
+    hits and up to k documents of each block: a block's other documents
+    only repeat its start.
+    """
+    is_hit = hits.__contains__
+    pool = [raws[i] for i in hits]
+    for n, ids in size_ids.items():
+        pool += [start[n]] * len(list(islice(filterfalse(is_hit, ids), k)))
+    kth = heapq.nlargest(k, pool)[-1]
+    reaching = [i for i in hits if raws[i] >= kth]
+    for n, ids in size_ids.items():
+        if start[n] >= kth:
+            reaching += filterfalse(is_hit, ids)
+    return reaching
 
 
 def _check_top(k: Optional[int]) -> None:
@@ -367,27 +434,28 @@ def rank(
 ) -> list[tuple[str, float]]:
     """Score the indexed words against ``query`` and sort.
 
-    With a plain :class:`RankerParams` the raw similarity is used; with a
-    combined scorer (see :mod:`cognatekit.scorer`) the blended score is,
-    and with ``k`` only the documents that can still reach the top k get
-    a transformation score.
+    With a plain :class:`RankerParams` the raw similarity is used, and
+    with ``k`` only the documents reaching the k-th largest are sorted.
+    With a combined scorer (see :mod:`cognatekit.scorer`) the blended
+    score is, and with ``k`` only the documents that can still reach the
+    top k get a transformation score.
     """
     _check_top(k)
     query_set = shingle(query, index.config)
     words = index.words
     if scorer is not None:
         if k is None:
-            scores = scorer.score_candidates(query_set, index)
-        else:
-            scored = scorer.score_top(query_set, index, k)
-            ids = sorted(scored)
-            words = [words[i] for i in ids]
-            scores = [scored[i] for i in ids]
+            return order_scored(words, scorer.score_candidates(query_set, index))
+        scored = scorer.score_top(query_set, index, k)
     elif params is not None:
-        scores = sim_all(query_set, index, params)
+        raws, hits, size_ids, start = _scored(query_set, index, params)
+        if k is None or k >= len(raws):
+            return order_scored(words, raws, k)
+        scored = {i: raws[i] for i in _top_candidates(raws, hits, size_ids, start, k)}
     else:
         raise ConfigError("rank needs ranker params or a combined scorer")
-    return order_scored(words, scores, k)
+    ids = sorted(scored)
+    return order_scored([words[i] for i in ids], [scored[i] for i in ids], k)
 
 
 def _read_lines(path, kind: str) -> list[str]:

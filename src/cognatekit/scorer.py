@@ -189,12 +189,13 @@ class CombinedScorer:
     def _walk(self, query: ShingleSet, index: LexiconIndex):
         """``_walked_rank``'s ``order, norm, trans, ceiling`` for ``query`` over ``index``.
 
-        Ids come in non-increasing raw similarity, and only the documents
-        a walk reaches are normalized and scored.
+        Ids come in non-increasing raw similarity, from the same postings
+        pass that gives the per-query bounds, and only the documents a
+        walk reaches are normalized and scored.
         """
-        ranker = self.config.ranker
-        raws = sim_all(query, index, ranker)
-        lo, hi = self._sim_bounds(raws)
+        raws, lo, hi, order = sim_order(query, index, self.config.ranker)
+        if self.config.normalization == "trained_minmax":
+            lo, hi = self._trained_bounds()
         model = self.error_model
 
         def norm(i: int) -> float:
@@ -204,7 +205,7 @@ class CombinedScorer:
             return model.transformation_score(query, index.docs[i][1])
 
         ceiling = model.score_ceiling(max(len(query), max(index.size_ids)))
-        return sim_order(query, index, ranker, raws), norm, trans, ceiling
+        return order, norm, trans, ceiling
 
     def score_top(self, query: ShingleSet, index: LexiconIndex, k: int) -> dict[int, float]:
         """Blended scores, by document id, of documents that include the best ``k``.

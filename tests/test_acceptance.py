@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import cognatekit
 from cognatekit import (
     CombinedScorer,
     RankerParams,
@@ -301,10 +302,13 @@ class TestCriterion6Determinism:
             "\n".join(f"{p.source}\t{p.target}\t{int(p.label)}" for p in pairs) + "\n",
             encoding="utf-8",
         )
+        # the child imports the package the tests import, however pytest found it
+        src = str(Path(cognatekit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outputs = []
         for run, hashseed in ((1, "1"), (2, "2")):
             out = tmp_path / f"report{run}.json"
-            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
             result = subprocess.run(
                 [sys.executable, "-m", "cognatekit.cli", "eval",
                  "--dataset", str(dataset), "--seed", "42", "--out", str(out)],

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import cognatekit.evaluation as evaluation
 from cognatekit.cli import main
 
 
@@ -258,6 +259,22 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "at least 2 folds" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    def test_ablate_rejects_folds_before_fitting_a_cell(
+        self, synthetic_dataset_file, monkeypatch, capsys
+    ):
+        # the first cells fit without tuning; the check must still come first
+        fitted = []
+        fit_pipeline = evaluation.fit_pipeline
+
+        def counting_fit(*args, **kwargs):
+            fitted.append(args[2])
+            return fit_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_pipeline", counting_fit)
+        assert main(["ablate", "--dataset", str(synthetic_dataset_file), "--folds", "0"]) == 1
+        assert "at least 2 folds" in capsys.readouterr().err
+        assert fitted == []
 
     def test_folds_are_not_read_without_tuning(self, tmp_path, synthetic_dataset_file):
         out = tmp_path / "model.json"

@@ -547,6 +547,13 @@ class TestAblation:
         with pytest.raises(ConfigError):
             ablation(synthetic_pairs, (), seed=42)
 
+    def test_folds_read_only_when_a_cell_tunes(self, synthetic_pairs):
+        untuned = (AblationCell("two_end", (2,), "tfidf", False),)
+        assert len(ablation(synthetic_pairs, untuned, seed=42, folds=0)) == 1
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            tuned = AblationCell("two_end", (2,), "dirichlet", False)
+            ablation(synthetic_pairs, untuned + (tuned,), seed=42, folds=1)
+
     def test_table_formatting(self, synthetic_pairs):
         cells = (AblationCell("two_end", (2,), "dice", False),)
         reports = ablation(synthetic_pairs, cells, seed=42)

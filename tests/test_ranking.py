@@ -231,8 +231,8 @@ class TestSimOrder:
             query = shingle(rng.choice([rng.choice(words), random_word(rng, 1, 6), "q"]), config)
             for name in ALL_FUNCTIONS:
                 params = RankerParams(name, mu=rng.choice([0.5, 10.0, 100.0]))
-                raws = sim_all(query, index, params)
-                order = list(sim_order(query, index, params, raws))
+                raws, _, _, order = sim_order(query, index, params)
+                order = list(order)
                 assert sorted(order) == list(range(len(words)))
                 walked = [raws[i] for i in order]
                 assert walked == sorted(raws, reverse=True)
@@ -241,8 +241,8 @@ class TestSimOrder:
         index = build_index(["abuvwxyzuvwxyz", "q", "abrstuvwxyzqp", "zz"], TWO_END)
         params = RankerParams("dirichlet", mu=10.0)
         query = shingle("abcdefgh", TWO_END)
-        raws = sim_all(query, index, params)
-        assert list(sim_order(query, index, params, raws)) == [1, 3, 0, 2]
+        _, _, _, order = sim_order(query, index, params)
+        assert list(order) == [1, 3, 0, 2]
 
 
 class TestMicroCorpus:
@@ -337,6 +337,92 @@ class TestRank:
         index = build_index(["noche"], PLAIN2)
         with pytest.raises(ConfigError):
             rank("nuit", index)
+
+
+def hex_ranking(ranked):
+    return [(word, score.hex()) for word, score in ranked]
+
+
+class TestRawTopK:
+    """Raw ``rank`` with ``k`` and ``sim_order``'s bounds against brute force."""
+
+    @staticmethod
+    def cases(rng):
+        """(lexicon, query) pairs: random words with repeats, two-letter
+        words with heavy ties, and queries sharing no token."""
+        for trial in range(30):
+            if trial % 3 == 1:
+                words = [
+                    "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                    for _ in range(rng.randint(1, 40))
+                ]
+            else:
+                words = [random_word(rng, 1, 8) for _ in range(rng.randint(1, 40))]
+                words += rng.sample(words, rng.randint(0, len(words)))
+                rng.shuffle(words)
+            query = rng.choice([rng.choice(words), random_word(rng, 1, 8), "q"])
+            yield words, query
+            yield words, "ωψ"  # outside the alphabet: shares no token
+
+    @staticmethod
+    def assert_top_k(index, query, params, ks=None):
+        expected = hex_ranking(brute_force_rank(query, index, params))
+        for k in ks or (1, 3, 10, len(index), len(index) + 5):
+            assert hex_ranking(rank(query, index, params, k=k)) == expected[:k], (query, k)
+
+    @staticmethod
+    def assert_bounds(index, query, params):
+        query_set = shingle(query, index.config)
+        expected = sim_all(query_set, index, params)
+        raws, lo, hi, _ = sim_order(query_set, index, params)
+        assert [r.hex() for r in raws] == [r.hex() for r in expected]
+        assert (lo, hi) == (min(expected), max(expected))
+
+    def test_random_lexicons(self):
+        rng = random.Random(41)
+        for words, query in self.cases(rng):
+            index = build_index(words, TWO_END)
+            for name in ALL_FUNCTIONS:
+                params = RankerParams(name, mu=rng.choice([0.5, 10.0, 100.0]))
+                self.assert_top_k(index, query, params)
+                self.assert_bounds(index, query, params)
+
+    def test_a_block_of_unshared_words_ties_at_the_kth_score(self):
+        # Dirichlet's length term puts the one-letter words first; q, w, x
+        # and y share no token with the query and tie, so the k-th score
+        # falls inside their block and the word decides
+        words = ["abuvwxyzuvwxyz", "y", "abtuvwxyzuvwxy", "q", "x", "abrstuvwxyzqp", "w", "a"]
+        index = build_index(words, TWO_END)
+        params = RankerParams("dirichlet", mu=10.0)
+        top = rank("abcdefgh", index, params, k=3)
+        assert [word for word, _ in top] == ["a", "q", "w"]
+        assert top[1][1] == top[2][1]
+        self.assert_top_k(index, "abcdefgh", params, range(1, len(words) + 2))
+        self.assert_bounds(index, "abcdefgh", params)
+
+    def test_a_size_whose_every_word_is_a_hit(self):
+        # "a", "a" and "ab" fill their sizes with hits, and their unshared
+        # scores sit above the k-th score from k = 4 on; every word of
+        # the second lexicon is a hit, so no size's unshared score is a bound
+        params = RankerParams("dirichlet", mu=10.0)
+        index = build_index(["xyzuvwrst", "a", "abcxyzuvw", "a", "xyzuvwrsq", "ab"], TWO_END)
+        self.assert_top_k(index, "abcdefgh", params, range(1, len(index) + 2))
+        index = build_index(["ab", "abc", "abd", "a", "abcdefgh"], TWO_END)
+        for name in ALL_FUNCTIONS:
+            params = RankerParams(name, mu=10.0)
+            self.assert_top_k(index, "abcdefgh", params, range(1, len(index) + 2))
+            self.assert_bounds(index, "abcdefgh", params)
+
+    def test_start_rows_cached_across_parameters_and_query_sizes(self):
+        words = [random_word(random.Random(i), 1, 9) for i in range(60)]
+        reused = build_index(words, TWO_END)
+        for mu in (1.0, 10.0, 1.0):
+            params = RankerParams("dirichlet", mu=mu)
+            for query in ("a", "abc", "abcdefgh", "ab"):
+                fresh = build_index(words, TWO_END)
+                for k in (None, 5):
+                    expected = hex_ranking(rank(query, fresh, params, k=k))
+                    assert hex_ranking(rank(query, reused, params, k=k)) == expected
 
 
 class TestOrderScored:

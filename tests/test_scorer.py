@@ -269,6 +269,23 @@ class TestTopK:
                 query = rng.choice([rng.choice(lexicon), rng.choice(triples)[0], "ab", "q"])
                 self.assert_top_k_and_target_ranks(scorer, query, index)
 
+    @pytest.mark.parametrize("function", RANKING_FUNCTIONS)
+    def test_walk_normalizes_by_the_row_min_and_max(self, function):
+        # the walk's per-query bounds come from the hits and the blocks,
+        # not from the row; they must still be the row's min and max
+        fitted, triples = fitted_scorer(function=function)
+        config = replace(fitted.config, sim_weight=0.4, normalization="per_query_minmax")
+        rng = random.Random(f"walk{function}")
+        for lexicon in [*self.lexicons(rng), ["ab", "abc", "a", "b"]]:
+            index = build_index(lexicon, TWO_END)
+            scorer = CombinedScorer(config, fitted.error_model, index)
+            word = rng.choice([rng.choice(lexicon), rng.choice(triples)[0], "ab", "q"])
+            query = shingle(word, TWO_END)
+            raws = sim_all(query, index, config.ranker)
+            _, norm, _, _ = scorer._walk(query, index)
+            expected = _normalize(raws, min(raws), max(raws))
+            assert [norm(i) for i in range(len(raws))] == expected
+
     @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
     def test_short_unshared_document_above_long_shared_ones(self, normalization):
         # Dirichlet's length term: the one-token "q", which shares
