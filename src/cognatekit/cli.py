@@ -191,10 +191,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         objective=args.objective,
     )
-    try:
-        scorer = fit_pipeline(train_pairs, config, args.ranker, resolved, threshold)
-    except TrainingError as exc:
-        raise DataError(str(exc)) from exc
+    scorer = fit_pipeline(train_pairs, config, args.ranker, resolved, threshold)
     hyperparameters = {key: resolved[key] for key in resolved}
     hyperparameters["threshold"] = scorer.config.threshold
     save_model(args.out, scorer, args.seed, hyperparameters)
@@ -313,10 +310,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except DataError as exc:
+    except (DataError, TrainingError) as exc:  # training fails on what the data holds
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ConfigError, InvalidWordError, TrainingError) as exc:
+    except (_UsageError, ConfigError, InvalidWordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,15 +11,19 @@ to stable pair identity, so results do not depend on input file order.
 
 MRR cost: only the true target's rank is read.  ``eval_mrr`` asks the
 system for ``target_rank``, and the pipeline answers with the
-bound-ordered walk of :mod:`cognatekit.scorer`, never sorting.  In
-``tune`` the transformation scores of a fold's query x word pairs come
-from count sequences, scored once per distinct sequence and (alpha,
-power), and a grid combination that reads the same parameter values as
-an earlier one (weight 0 ignores mu/k1/b, weight 1 ignores alpha/power)
-is skipped, as it could only tie.  For weights strictly between 0 and 1
-the MRR tune ranks each target with the same walk, over cached rows.
-Every float is computed by the same expressions in the same order as a
-full ranking, so results are equal.
+bound-ordered walk of :mod:`cognatekit.scorer`, never sorting.
+
+Tuning runs fold by fold: each fold fits its error model, builds the
+rows its grid points read (sims per (mu, k1, b), transformation scores
+per (alpha, power)), scores every grid combination and is dropped, so
+one fold's rows are alive at a time.  Transformation scores come from
+count sequences, scored once per distinct sequence and (alpha, power).
+A combination that reads the same parameter values as an earlier one
+(weight 0 ignores mu/k1/b, weight 1 ignores alpha/power) is skipped, as
+it could only tie.  For weights strictly between 0 and 1 the MRR tune
+ranks each target with the same walk as ``eval_mrr``.  Every float is
+computed by the same expressions in the same order as a model trained
+on the fold, so results are equal.
 
 A system is anything with the two methods the experiments read:
 ``classify(source, target) -> bool`` and ``target_rank(query, lexicon,
@@ -315,193 +319,6 @@ class _TuneCache:
         return cached
 
 
-def _distinct_rows(rows) -> tuple[list[list[int]], list[tuple]]:
-    """Rows of count sequences as rows of ids into the distinct sequences."""
-    ids: dict[tuple, int] = {}
-    id_rows = [[ids.setdefault(tuple(seq), len(ids)) for seq in row] for row in rows]
-    return id_rows, list(ids)
-
-
-def _score_rows(grouped: tuple[list[list[int]], list[tuple]], table) -> list[list[float]]:
-    """Score each distinct count sequence once and spread the scores over the rows."""
-    id_rows, distinct = grouped
-    values = [_mean_score(seq, table) for seq in distinct]
-    return [[values[i] for i in row] for row in id_rows]
-
-
-class _FoldCache:
-    """Per-fold precomputation shared by every grid combination.
-
-    ``model`` is the error model of the fold's positive training pairs,
-    built as :func:`~cognatekit.error_model.train_error_model` builds
-    one, and each pair's count sequence is read from its nested counts.
-    Equal sequences get one id; every (alpha, power) grid point scores
-    each distinct sequence once with that model's table, so tuning and a
-    model trained on the fold's positives compute the same value.  The
-    ranking rows feed the walk of :mod:`cognatekit.scorer`: ``norm_orders``
-    is its order and ``trans_maxima`` its ceilings.
-    """
-
-    def __init__(self, shared: _TuneCache, train, val, function, use_error_model, lexicon_index):
-        self.shared = shared
-        self.train = train
-        self.val = val
-        self.function = function
-        self.queries = [p for p in val if p.label]
-        self._index: Optional[LexiconIndex] = None
-        self._norm: dict[tuple, tuple[list[float], list[float]]] = {}
-        self._trans: dict[tuple, tuple[list[float], list[float]]] = {}
-        self._norm_rows: dict[tuple, list[list[float]]] = {}
-        self._norm_orders: dict[tuple, list[list[int]]] = {}
-        self._trans_rows: dict[tuple, list[list[float]]] = {}
-        self._trans_maxima: dict[tuple, list[float]] = {}
-        self._pair_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
-        self._row_ids: Optional[tuple[list[list[int]], list[tuple]]] = None
-        counts: Counter = Counter()
-        if use_error_model:
-            positives = [p for p in train if p.label]
-            if not positives:
-                raise TrainingError("a cross-validation fold has no positive training pairs")
-            for p in positives:
-                counts.update(shared.edges(p.source, p.target))
-        self.model = _fit(counts, shared.config)
-        self.lexicon_index = lexicon_index
-
-    def _table(self, alpha, power) -> dict[int, float]:
-        return replace(self.model, alpha=alpha, power=power)._table
-
-    def _params(self, mu: float, k1: float, b: float) -> RankerParams:
-        return RankerParams(self.function, k1=k1, b=b, mu=mu)
-
-    def norm_sims(self, mu, k1, b) -> tuple[list[float], list[float]]:
-        """Raw sims normalized with the training side's min/max bounds."""
-        key = (mu, k1, b)
-        cached = self._norm.get(key)
-        if cached is None:
-            params = self._params(mu, k1, b)
-            sets = self.shared.shingle_set
-            if self._index is None:
-                self._index = build_index([p.target for p in self.train], self.shared.config)
-            tr_raw, val_raw = (
-                [sim(sets(p.source), sets(p.target), self._index, params) for p in part]
-                for part in (self.train, self.val)
-            )
-            lo, hi = min(tr_raw), max(tr_raw)
-            cached = (_normalize(tr_raw, lo, hi), _normalize(val_raw, lo, hi))
-            self._norm[key] = cached
-        return cached
-
-    def transformation(self, alpha, power) -> tuple[list[float], list[float]]:
-        key = (alpha, power)
-        cached = self._trans.get(key)
-        if cached is None:
-            if self._pair_ids is None:
-                sets, nested = self.shared.shingle_set, self.model._nested
-                self._pair_ids = _distinct_rows(
-                    [_count_seq(sets(p.source), sets(p.target), nested) for p in part]
-                    for part in (self.train, self.val)
-                )
-            cached = tuple(_score_rows(self._pair_ids, self._table(alpha, power)))
-            self._trans[key] = cached
-        return cached
-
-    # ranking-objective caches: one row per validation query over the lexicon
-
-    def norm_rows(self, mu, k1, b) -> list[list[float]]:
-        """Raw sims of each query over the lexicon, min/max-normalized per query."""
-        key = (mu, k1, b)
-        cached = self._norm_rows.get(key)
-        if cached is None:
-            params = self._params(mu, k1, b)
-            cached = []
-            for p in self.queries:
-                raw = sim_all(self.shared.shingle_set(p.source), self.lexicon_index, params)
-                cached.append(_normalize(raw, min(raw), max(raw)))
-            self._norm_rows[key] = cached
-        return cached
-
-    def norm_orders(self, mu, k1, b) -> list[list[int]]:
-        """Each query's document ids by normalized sim, descending."""
-        key = (mu, k1, b)
-        cached = self._norm_orders.get(key)
-        if cached is None:
-            cached = [
-                sorted(range(len(row)), key=row.__getitem__, reverse=True)
-                for row in self.norm_rows(mu, k1, b)
-            ]
-            self._norm_orders[key] = cached
-        return cached
-
-    def trans_rows(self, alpha, power) -> list[list[float]]:
-        key = (alpha, power)
-        cached = self._trans_rows.get(key)
-        if cached is None:
-            if self._row_ids is None:
-                docs = [doc for _, doc in self.lexicon_index.docs]
-                sources = [self.shared.shingle_set(p.source) for p in self.queries]
-                nested = self.model._nested
-                self._row_ids = _distinct_rows(
-                    [_count_seq(source, doc, nested) for doc in docs] for source in sources
-                )
-            cached = _score_rows(self._row_ids, self._table(alpha, power))
-            self._trans_rows[key] = cached
-        return cached
-
-    def trans_maxima(self, alpha, power) -> list[float]:
-        """Each query's largest transformation score over the lexicon."""
-        key = (alpha, power)
-        cached = self._trans_maxima.get(key)
-        if cached is None:
-            cached = self._trans_maxima[key] = [max(row) for row in self.trans_rows(alpha, power)]
-        return cached
-
-
-def _combo_accuracy(cache: _FoldCache, combo: dict) -> float:
-    # _blend reads only the norms at weight 1 and only the trans at weight 0
-    weight = combo["sim_weight"]
-    tr_norm = val_norm = tr_trans = val_trans = []
-    if weight > 0.0:
-        tr_norm, val_norm = cache.norm_sims(combo["mu"], combo["k1"], combo["b"])
-    if weight < 1.0:
-        tr_trans, val_trans = cache.transformation(combo["alpha"], combo["power"])
-    tr_scores = _blend(weight, tr_norm, tr_trans)
-    val_scores = _blend(weight, val_norm, val_trans)
-    threshold = learn_threshold(tr_scores, [p.label for p in cache.train])
-    correct = sum(
-        (score >= threshold) == pair.label
-        for score, pair in zip(val_scores, cache.val)
-    )
-    return correct / len(cache.val)
-
-
-def _combo_mrr(cache: _FoldCache, combo: dict, lex_words: list[str]) -> Optional[float]:
-    queries = cache.queries
-    if not queries:
-        return None
-    weight = combo["sim_weight"]
-    if weight in (0.0, 1.0):  # one side decides alone: no bound to prune with
-        rows = (
-            cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
-            if weight == 1.0
-            else cache.trans_rows(combo["alpha"], combo["power"])
-        )
-        return _mean([
-            1.0 / target_rank(lex_words, row, pair.target) for pair, row in zip(queries, rows)
-        ])
-    return _mean([
-        1.0 / _walked_rank(
-            weight, lex_words, pair.target, order, norms.__getitem__, trans.__getitem__, ceiling
-        )
-        for pair, norms, order, trans, ceiling in zip(
-            queries,
-            cache.norm_rows(combo["mu"], combo["k1"], combo["b"]),
-            cache.norm_orders(combo["mu"], combo["k1"], combo["b"]),
-            cache.trans_rows(combo["alpha"], combo["power"]),
-            cache.trans_maxima(combo["alpha"], combo["power"]),
-        )
-    ])
-
-
 def _effective_key(combo: dict) -> tuple:
     """The grid values a combo's scores read: _blend reads one side at weights 0 and 1."""
     weight = combo["sim_weight"]
@@ -512,25 +329,118 @@ def _effective_key(combo: dict) -> tuple:
     return tuple(combo[key] for key in GRID_KEYS)
 
 
-def _fold_caches(
-    pairs: Sequence[LabeledPair],
-    shingler_config: ShinglerConfig,
-    ranker_function: str,
-    use_error_model: bool,
-    folds: int,
-    seed: int,
-    lexicon_index: Optional[LexiconIndex],
-) -> list[_FoldCache]:
-    """One cache per cross-validation fold, all sharing one :class:`_TuneCache`."""
-    fold_groups = stratified_folds(pairs, folds, seed)
-    shared = _TuneCache(shingler_config)
-    caches = []
-    for i, val in enumerate(fold_groups):
-        train = [p for j, fold in enumerate(fold_groups) for p in fold if j != i]
-        caches.append(
-            _FoldCache(shared, train, val, ranker_function, use_error_model, lexicon_index)
+def _sim_keys(combos: Sequence[dict], wanted) -> list[tuple]:
+    """The distinct (mu, k1, b) of the combos whose weight ``wanted`` accepts."""
+    return list(dict.fromkeys(
+        (c["mu"], c["k1"], c["b"]) for c in combos if wanted(c["sim_weight"])
+    ))
+
+
+def _trans_rows(model, rows, combos: Sequence[dict]) -> dict[tuple, list[list[float]]]:
+    """Rows of count sequences scored at each (alpha, power) a combo below weight 1 reads.
+
+    ``rows`` is consumed only if some combo reads it.  Each distinct
+    sequence is scored once per grid point with ``model``'s table there,
+    so tuning and a model trained on the same positives agree.
+    """
+    points = dict.fromkeys((c["alpha"], c["power"]) for c in combos if c["sim_weight"] < 1.0)
+    if not points:
+        return {}
+    ids: dict[tuple, int] = {}
+    id_rows = [[ids.setdefault(tuple(seq), len(ids)) for seq in row] for row in rows]
+    scored = {}
+    for alpha, power in points:
+        table = replace(model, alpha=alpha, power=power)._table
+        values = [_mean_score(seq, table) for seq in ids]
+        scored[alpha, power] = [[values[i] for i in row] for row in id_rows]
+    return scored
+
+
+def _fold_accuracy(shared, model, function, train, val, combos) -> list[float]:
+    """Each combo's accuracy on ``val``, sims normalized and threshold learned on ``train``."""
+    sets = shared.shingle_set
+    keys = _sim_keys(combos, lambda weight: weight > 0.0)
+    if keys:
+        index = build_index([p.target for p in train], shared.config)
+    norms = {}
+    for mu, k1, b in keys:
+        params = RankerParams(function, k1=k1, b=b, mu=mu)
+        tr_raw, val_raw = (
+            [sim(sets(p.source), sets(p.target), index, params) for p in part]
+            for part in (train, val)
         )
-    return caches
+        lo, hi = min(tr_raw), max(tr_raw)
+        norms[mu, k1, b] = (_normalize(tr_raw, lo, hi), _normalize(val_raw, lo, hi))
+    trans = _trans_rows(
+        model,
+        ([_count_seq(sets(p.source), sets(p.target), model._nested) for p in part]
+         for part in (train, val)),
+        combos,
+    )
+    labels = [p.label for p in train]
+    scores = []
+    for combo in combos:
+        # _blend reads only the norms at weight 1 and only the trans at weight 0
+        weight = combo["sim_weight"]
+        tr_norm, val_norm = norms.get((combo["mu"], combo["k1"], combo["b"]), ([], []))
+        tr_trans, val_trans = trans.get((combo["alpha"], combo["power"]), ([], []))
+        threshold = learn_threshold(_blend(weight, tr_norm, tr_trans), labels)
+        correct = sum(
+            (score >= threshold) == pair.label
+            for score, pair in zip(_blend(weight, val_norm, val_trans), val)
+        )
+        scores.append(correct / len(val))
+    return scores
+
+
+def _fold_mrr(shared, model, function, queries, index, combos) -> Optional[list[float]]:
+    """Each combo's MRR of the validation cognates ``queries`` over ``index``.
+
+    ``None`` when the fold has no validation cognate.  Sims are
+    normalized per query, and at weights strictly between 0 and 1 each
+    target is ranked by the walk of :mod:`cognatekit.scorer`.
+    """
+    if not queries:
+        return None
+    sources = [shared.shingle_set(p.source) for p in queries]
+    norms = {}
+    for mu, k1, b in _sim_keys(combos, lambda weight: weight > 0.0):
+        params = RankerParams(function, k1=k1, b=b, mu=mu)
+        rows = norms[mu, k1, b] = []
+        for source in sources:
+            raw = sim_all(source, index, params)
+            rows.append(_normalize(raw, min(raw), max(raw)))
+    orders = {
+        key: [sorted(range(len(row)), key=row.__getitem__, reverse=True) for row in norms[key]]
+        for key in _sim_keys(combos, lambda weight: 0.0 < weight < 1.0)
+    }
+    trans = _trans_rows(
+        model,
+        ([_count_seq(source, doc, model._nested) for _, doc in index.docs] for source in sources),
+        combos,
+    )
+    maxima = {key: [max(row) for row in rows] for key, rows in trans.items()}
+    words = index.words
+    scores = []
+    for combo in combos:
+        weight = combo["sim_weight"]
+        sim_key = (combo["mu"], combo["k1"], combo["b"])
+        trans_key = (combo["alpha"], combo["power"])
+        if weight in (0.0, 1.0):  # one side decides alone: no bound to prune with
+            rows = norms[sim_key] if weight == 1.0 else trans[trans_key]
+            ranks = [target_rank(words, row, p.target) for p, row in zip(queries, rows)]
+        else:
+            ranks = [
+                _walked_rank(
+                    weight, words, p.target, order, norm_row.__getitem__,
+                    trans_row.__getitem__, ceiling,
+                )
+                for p, norm_row, order, trans_row, ceiling in zip(
+                    queries, norms[sim_key], orders[sim_key], trans[trans_key], maxima[trans_key]
+                )
+            ]
+        scores.append(_mean([1.0 / r for r in ranks]))
+    return scores
 
 
 def _check_folds(folds: int) -> None:
@@ -547,16 +457,16 @@ def tune(
     folds: int = 5,
     seed: int = 42,
     objective: str = "accuracy",
-    lexicon: Optional[Sequence[str]] = None,
 ) -> dict:
     """Cross-validated grid search; returns the winning hyperparameters.
 
-    ``objective`` is ``accuracy`` (classification) or ``mrr`` (ranking).
-    ``folds`` must be at least 2 and ``pairs`` hold at least 2 pairs, so
-    that no fold validates on its own training pairs.  Ties go to the
-    earliest combination in grid order.  A combination whose scores
-    provably equal an earlier one's (the same values of every parameter
-    it reads) is not scored again: it could only tie.
+    ``objective`` is ``accuracy`` (classification) or ``mrr`` (ranking
+    the training targets).  ``folds`` must be at least 2 and ``pairs``
+    hold at least 2 pairs, so that no fold validates on its own training
+    pairs.  Ties go to the earliest combination in grid order.  A
+    combination whose scores provably equal an earlier one's (the same
+    values of every parameter it reads) is not scored: it could only
+    tie.  Folds are scored one at a time, each on every combination.
     """
     if objective not in ("accuracy", "mrr"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
@@ -564,43 +474,47 @@ def tune(
     if len(pairs) < 2:
         raise TrainingError(f"cross-validation needs at least 2 training pairs, got {len(pairs)}")
     merged = _resolve_grids(grids, ranker_function, use_error_model)
-    lexicon_index = None
-    lex_words: list[str] = []
-    if objective == "mrr":
-        source_words = lexicon if lexicon is not None else [p.target for p in pairs]
-        lex_words = list(dict.fromkeys(normalize_word(w) for w in source_words))
-        lexicon_index = build_index(lex_words, shingler_config)
-    caches = _fold_caches(
-        pairs, shingler_config, ranker_function, use_error_model, folds, seed, lexicon_index
-    )
-
-    best_combo = None
-    best_score = -math.inf
-    scored = set()
+    first: dict[tuple, dict] = {}
     for values in itertools.product(*(merged[key] for key in GRID_KEYS)):
         combo = dict(zip(GRID_KEYS, values))
-        key = _effective_key(combo)
-        if key in scored:  # an earlier combo scored the same; ties go to it
-            continue
-        scored.add(key)
-        fold_scores = []
-        for cache in caches:
-            if objective == "accuracy":
-                fold_scores.append(_combo_accuracy(cache, combo))
-            else:
-                score = _combo_mrr(cache, combo, lex_words)
-                if score is not None:
-                    fold_scores.append(score)
-        if not fold_scores:
-            raise TrainingError("no fold produced a tuning score (no positive pairs?)")
-        mean_score = _mean(fold_scores)
-        if mean_score > best_score:
-            best_score = mean_score
-            best_combo = combo
-    resolved = dict(best_combo)
-    resolved["cv_score"] = best_score
+        first.setdefault(_effective_key(combo), combo)  # a later equal combo could only tie
+    combos = list(first.values())
+    fold_groups = stratified_folds(pairs, folds, seed)
+    splits = [
+        ([p for j, fold in enumerate(fold_groups) if j != i for p in fold], val)
+        for i, val in enumerate(fold_groups)
+    ]
+    if use_error_model and not all(any(p.label for p in train) for train, _ in splits):
+        raise TrainingError("a cross-validation fold has no positive training pairs")
+    if objective == "mrr":
+        lexicon = list(dict.fromkeys(normalize_word(p.target) for p in pairs))
+        lexicon_index = build_index(lexicon, shingler_config)
+
+    shared = _TuneCache(shingler_config)
+    fold_scores: list[list[float]] = [[] for _ in combos]
+    for train, val in splits:
+        counts: Counter = Counter()
+        if use_error_model:
+            for p in train:
+                if p.label:
+                    counts.update(shared.edges(p.source, p.target))
+        model = _fit(counts, shingler_config)
+        if objective == "accuracy":
+            scores = _fold_accuracy(shared, model, ranker_function, train, val, combos)
+        else:
+            queries = [p for p in val if p.label]
+            scores = _fold_mrr(shared, model, ranker_function, queries, lexicon_index, combos)
+        if scores is not None:
+            for kept, score in zip(fold_scores, scores):
+                kept.append(score)
+    if not fold_scores[0]:
+        raise TrainingError("no fold produced a tuning score (no positive pairs?)")
+    means = [_mean(kept) for kept in fold_scores]
+    best = max(range(len(combos)), key=means.__getitem__)  # the first of equal maxima
+    resolved = dict(combos[best])
+    resolved["cv_score"] = means[best]
     resolved["objective"] = objective
-    resolved["folds"] = len(caches)
+    resolved["folds"] = len(splits)
     return resolved
 
 

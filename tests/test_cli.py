@@ -245,6 +245,19 @@ class TestEvalCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_fold_without_positive_training_pair_is_data_error(self, tmp_path, command, capsys):
+        # 2 cognates, 6 non-cognates: the training split keeps one cognate,
+        # so one cross-validation fold trains on none
+        dataset = tmp_path / "one-cognate.tsv"
+        dataset.write_text(
+            "aa\taab\t1\nbb\tbbc\t1\ncc\tdd\t0\nee\tff\t0\n"
+            "gg\thh\t0\nii\tjj\t0\nkk\tll\t0\nmm\tnn\t0\n"
+        )
+        code = main([command, "--dataset", str(dataset), "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        assert "no positive training pairs" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["shingle", "word", "--wat"]) == 1
 

@@ -29,16 +29,13 @@ from cognatekit import (
     run_experiment,
     shingle,
     split,
-    train_error_model,
     tune,
 )
 from cognatekit.baselines import BASELINE_METHODS, baseline_similarity
 from cognatekit.error_model import ErrorModel
 from cognatekit.evaluation import (
     GRID_KEYS,
-    _combo_accuracy,
-    _combo_mrr,
-    _fold_caches,
+    _effective_key,
     _resolve_grids,
     dataset_lexicon,
     format_report_table,
@@ -340,95 +337,106 @@ class TestTune:
             "b": 0.75, "cv_score": 0.9166666666666666, "objective": "mrr", "folds": 5,
         }
 
-    def test_fold_scores_equal_a_model_trained_on_the_fold(self):
-        pairs = make_hard_synthetic_pairs(20, 20)
-        lexicon = build_index(list(dict.fromkeys(p.target for p in pairs)), TWO_END)
-        caches = _fold_caches(pairs, TWO_END, "dirichlet", True, 5, 42, lexicon)
-        assert len(caches) == 5
-        for cache in caches:
-            positives = [(p.source, p.target) for p in cache.train if p.label]
-            for alpha, power in ((1.0, 1.0), (0.5, 0.25), (2.0, 4.0), (1.0, 0.5)):
-                model = train_error_model(positives, TWO_END, alpha, power)
-                tr_trans, val_trans = cache.transformation(alpha, power)
-                for part, scores in ((cache.train, tr_trans), (cache.val, val_trans)):
-                    expected = [model.score_words(p.source, p.target) for p in part]
-                    assert scores == expected
-                for query, row in zip(cache.queries, cache.trans_rows(alpha, power)):
-                    source = shingle(query.source, TWO_END)
-                    expected = [model.transformation_score(source, doc) for _, doc in lexicon.docs]
-                    assert row == expected
+    # weights 0 to 1: 20 combos, 17 scored once equal ones are skipped (dirichlet 40, 30)
+    ORACLE_GRIDS = {"sim_weight": [0.0, 0.2, 0.5, 0.8, 1.0], "power": [0.25, 4.0],
+                    "alpha": [0.5, 1.0], "mu": [1.0, 50.0]}
 
     @staticmethod
-    def tune_every_combo(pairs, function, grids, objective):
-        """Brute force: score every grid combination, first strict maximum wins."""
-        lexicon_index, lex_words = None, []
-        if objective == "mrr":
-            lex_words = list(dict.fromkeys(p.target for p in pairs))
-            lexicon_index = build_index(lex_words, TWO_END)
-        caches = _fold_caches(pairs, TWO_END, function, True, 5, 42, lexicon_index)
-        merged = _resolve_grids(grids, function, True)
-        best_combo, best_score = None, -math.inf
-        for values in itertools.product(*(merged[key] for key in GRID_KEYS)):
-            combo = dict(zip(GRID_KEYS, values))
-            if objective == "accuracy":
-                scores = [_combo_accuracy(cache, combo) for cache in caches]
-            else:
-                scores = [_combo_mrr(cache, combo, lex_words) for cache in caches]
-                scores = [score for score in scores if score is not None]
-            total = 0.0
-            for score in scores:
-                total += score
-            if total / len(scores) > best_score:
-                best_combo, best_score = combo, total / len(scores)
-        return {**best_combo, "cv_score": best_score, "objective": objective,
-                "folds": len(caches)}
+    def recorded(monkeypatch, name):
+        """(arguments, scores) of each call tune makes to the per-fold scorer ``name``."""
+        calls = []
+        real = getattr(evaluation, name)
+
+        def recording(*args):
+            scores = real(*args)
+            calls.append((args, scores))
+            return scores
+
+        monkeypatch.setattr(evaluation, name, recording)
+        return calls
+
+    def test_fold_scores_equal_a_model_trained_on_the_fold(self, monkeypatch):
+        # accuracy here; test_walked_mrr_equals_full_rows checks the MRR side
+        pairs = make_hard_synthetic_pairs(20, 20)
+        calls = self.recorded(monkeypatch, "_fold_accuracy")
+        for function in RANKING_FUNCTIONS:
+            calls.clear()
+            tune(pairs, TWO_END, function, grids=self.ORACLE_GRIDS)
+            assert len(calls) == 5
+            for (_, _, _, train, val, combos), scores in calls:
+                assert len(scores) == len(combos) >= 17
+                for combo, score in zip(combos, scores):
+                    system = PipelineSystem(fit_pipeline(train, TWO_END, function, combo))
+                    assert score == eval_classification(system, val)
+
+    @pytest.mark.parametrize("function", RANKING_FUNCTIONS)
+    def test_walked_mrr_equals_full_rows(self, function, monkeypatch):
+        # each fold's MRR equals that of a pipeline trained on the fold, whose
+        # target_rank walks, and that of its full ranking of the lexicon
+        pairs = make_hard_synthetic_pairs(20, 20)
+        calls = self.recorded(monkeypatch, "_fold_mrr")
+        tune(pairs, TWO_END, function, grids=self.ORACLE_GRIDS, objective="mrr")
+        folds = stratified_folds(pairs, 5, 42)
+        assert len(calls) == len(folds) == 5
+        for i, ((_, _, _, queries, index, combos), scores) in enumerate(calls):
+            assert queries == [p for p in folds[i] if p.label]
+            train = [p for j, fold in enumerate(folds) if j != i for p in fold]
+            assert len(scores) == len(combos) >= 17
+            for combo, score in zip(combos, scores):
+                scorer = fit_pipeline(train, TWO_END, function, combo)
+                assert score == eval_mrr(PipelineSystem(scorer), queries, index.words)[0]
+                per_query = scorer.with_config(normalization="per_query_minmax")
+                total = 0.0
+                for p in queries:
+                    ranked = [word for word, _ in rank(p.source, index, scorer=per_query)]
+                    total += 1.0 / (ranked.index(p.target) + 1)
+                assert score == total / len(queries)
 
     @pytest.mark.parametrize("objective", ["accuracy", "mrr"])
     def test_skipping_equal_combos_matches_scoring_every_combo(self, objective, monkeypatch):
         pairs = make_hard_synthetic_pairs(30, 30)
         grids = {"sim_weight": [0.0, 0.5, 1.0], "power": [0.25, 1.0, 4.0],
                  "mu": [1.0, 10.0, 100.0]}
-        expected = self.tune_every_combo(pairs, "dirichlet", grids, objective)
-        combos = []
-        scorer = "_combo_accuracy" if objective == "accuracy" else "_combo_mrr"
-        real = getattr(evaluation, scorer)
+        merged = _resolve_grids(grids, "dirichlet", True)
+        every = [dict(zip(GRID_KEYS, values))
+                 for values in itertools.product(*(merged[key] for key in GRID_KEYS))]
+        name = "_fold_accuracy" if objective == "accuracy" else "_fold_mrr"
+        real = getattr(evaluation, name)
+        scored, every_scores = [], []
 
-        def counting(cache, combo, *rest):
-            combos.append(tuple(combo.values()))
-            return real(cache, combo, *rest)
+        def also_every_combo(*args):
+            scored.append(args[-1])
+            every_scores.append(real(*args[:-1], every))
+            return real(*args)
 
-        monkeypatch.setattr(evaluation, scorer, counting)
-        assert tune(pairs, TWO_END, "dirichlet", grids=grids, objective=objective) == expected
+        monkeypatch.setattr(evaluation, name, also_every_combo)
+        resolved = tune(pairs, TWO_END, "dirichlet", grids=grids, objective=objective)
         # 27 combos: weight 0 reads 3 powers, weight 1 reads 3 mus, 0.5 all 9
-        assert len(set(combos)) == 3 + 9 + 3
+        assert [len(combos) for combos in scored] == [3 + 9 + 3] * 5
+        folds = [scores for scores in every_scores if scores is not None]
+        best_combo, best_score = None, -math.inf
+        for i, combo in enumerate(every):
+            total = 0.0
+            for scores in folds:
+                total += scores[i]
+            if total / len(folds) > best_score:
+                best_combo, best_score = combo, total / len(folds)
+        assert resolved == {**best_combo, "cv_score": best_score, "objective": objective,
+                            "folds": 5}
+        for scores in folds:  # a skipped combo scores what the first equal one does
+            first = {}
+            for combo, score in zip(every, scores):
+                assert first.setdefault(_effective_key(combo), score) == score
 
-    @staticmethod
-    def full_row_mrr(cache, combo, lex_words):
-        """The unpruned MRR: blend every full row and rank the target in it."""
-        norm_rows = trans_rows = [[]] * len(cache.queries)
-        weight = combo["sim_weight"]
-        if weight > 0.0:
-            norm_rows = cache.norm_rows(combo["mu"], combo["k1"], combo["b"])
-        if weight < 1.0:
-            trans_rows = cache.trans_rows(combo["alpha"], combo["power"])
-        total = 0.0
-        for pair, norms, trans in zip(cache.queries, norm_rows, trans_rows):
-            total += 1.0 / target_rank(lex_words, _blend(weight, norms, trans), pair.target)
-        return total / len(cache.queries)
-
-    @pytest.mark.parametrize("function", RANKING_FUNCTIONS)
-    def test_walked_mrr_equals_full_rows(self, function):
-        pairs = make_hard_synthetic_pairs(20, 20)
-        lex_words = list(dict.fromkeys(p.target for p in pairs))
-        lexicon = build_index(lex_words, TWO_END)
-        caches = _fold_caches(pairs, TWO_END, function, True, 5, 42, lexicon)
-        for cache in caches:
-            for weight in (0.0, 0.2, 0.5, 0.8, 1.0):
-                for power in (0.25, 4.0):
-                    combo = {"sim_weight": weight, "power": power, "alpha": 1.0,
-                             "mu": 5.0, "k1": 1.2, "b": 0.75}
-                    expected = self.full_row_mrr(cache, combo, lex_words)
-                    assert _combo_mrr(cache, combo, lex_words) == expected
+    def test_fold_without_positive_training_pair_fails_before_scoring(self, monkeypatch):
+        calls = []
+        for name in ("_fold_accuracy", "_fold_mrr"):
+            monkeypatch.setattr(evaluation, name, lambda *args: calls.append(args))
+        pairs = make_hard_synthetic_pairs(1, 9)  # the fold validating the cognate trains on none
+        for objective in ("accuracy", "mrr"):
+            with pytest.raises(TrainingError, match="no positive training pairs"):
+                tune(pairs, TWO_END, "dirichlet", objective=objective)
+        assert calls == []
 
     def test_walked_rank_equals_full_row_on_heavy_ties(self):
         # values on a coarse grid tie often, a row whose target holds the
