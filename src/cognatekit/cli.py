@@ -23,10 +23,10 @@ from .evaluation import (
     fit_pipeline,
     format_report_table,
     load_dataset,
-    resolve_hyperparameters,
     run_baseline_experiment,
     run_experiment,
     split,
+    tune,
 )
 from .persistence import load_model, save_model, save_report
 from .ranking import RANKING_FUNCTIONS, RankerParams, build_index, load_lexicon, rank
@@ -94,6 +94,8 @@ def _add_hyper_flags(parser) -> None:
 
 
 _DEFAULTS = {"sim_weight": 0.6, "power": 1.0, "alpha": 1.0, "mu": 10.0, "k1": 1.2, "b": 0.75}
+_PIN_FLAGS = {"sim_weight": "--lambda", "power": "--q", "alpha": "--alpha", "mu": "--mu",
+              "k1": "--k1", "b": "--b", "threshold": "--threshold"}
 
 
 def _fixed_from_flags(args) -> dict:
@@ -182,7 +184,7 @@ def _cmd_train(args) -> int:
     config = _shingler_config(args)
     fixed = _fixed_from_flags(args)
     threshold = fixed.pop("threshold", None)
-    resolved = resolve_hyperparameters(
+    resolved = tune(
         train_pairs,
         config,
         args.ranker,
@@ -238,6 +240,13 @@ def _cmd_rank(args) -> int:
 def _cmd_eval(args) -> int:
     if args.model is not None and args.method is not None:
         raise _UsageError("--model and --method are mutually exclusive")
+    if args.model is not None or args.method is not None:
+        pinned = [flag for key, flag in _PIN_FLAGS.items() if getattr(args, key) is not None]
+        if args.no_tune:
+            pinned.append("--no-tune")
+        if pinned:
+            option = "--model" if args.model is not None else "--method"
+            raise _UsageError(f"{pinned[0]} is not read with {option}")
     pairs = load_dataset(args.dataset)
     extra = load_lexicon(args.lexicon) if args.lexicon else None
     seed = 42 if args.seed is None else args.seed

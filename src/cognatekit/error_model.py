@@ -232,8 +232,25 @@ class ErrorModel:
         }
 
 
+def _json_number(value, name: str) -> float:
+    """A JSON number read as a float; a bool, a string or null is a DataError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer; a fraction, a bool, a string or null is a DataError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_dict(payload: dict) -> ErrorModel:
-    """Rebuild an :class:`ErrorModel` from its JSON representation."""
+    """Rebuild an :class:`ErrorModel` from its JSON representation.
+
+    Counts must be JSON integers and ``alpha`` and ``q`` JSON numbers.
+    """
     try:
         config = ShinglerConfig(
             tuple(payload["shingler_config"]["gram_sizes"]),
@@ -242,16 +259,16 @@ def model_from_dict(payload: dict) -> ErrorModel:
         if not isinstance(payload["edge_counts"], dict):
             raise DataError("edge_counts must be a JSON object")
         counts = {
-            _decode_edge(key): int(count)
+            _decode_edge(key): _json_int(count, "an edge count")
             for key, count in payload["edge_counts"].items()
         }
         return ErrorModel(
             config=config,
             edge_counts=counts,
-            total_count=int(payload["total_count"]),
-            distinct_edges=int(payload["distinct_edges"]),
-            alpha=float(payload["alpha"]),
-            power=float(payload["q"]),
+            total_count=_json_int(payload["total_count"], "total_count"),
+            distinct_edges=_json_int(payload["distinct_edges"], "distinct_edges"),
+            alpha=_json_number(payload["alpha"], "alpha"),
+            power=_json_number(payload["q"], "q"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed error-model document: {exc}") from exc

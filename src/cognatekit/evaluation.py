@@ -5,25 +5,30 @@ labeled pairs and report accuracy.  Experiment 2 (retrieval): rank a
 target-language lexicon for each held-out cognate's source word and
 report the mean reciprocal rank of the true target.
 
-Hyperparameters are chosen by k-fold cross-validated grid search on the
-training split; all randomness flows from one seed and splits are keyed
-to stable pair identity, so results do not depend on input file order.
+Hyperparameters are chosen by :func:`tune`, a k-fold cross-validated
+grid search on the training split; pinned values replace their grids,
+and nothing is searched once every grid holds one value.  All
+randomness flows from one seed and splits are keyed to stable pair
+identity, so results do not depend on input file order.
 
 MRR cost: only the true target's rank is read.  ``eval_mrr`` asks the
 system for ``target_rank``, and the pipeline answers with the
 bound-ordered walk of :mod:`cognatekit.scorer`, never sorting.
 
-Tuning runs fold by fold: each fold fits its error model, builds the
-rows its grid points read (sims per (mu, k1, b), transformation scores
-per (alpha, power)), scores every grid combination and is dropped, so
-one fold's rows are alive at a time.  Transformation scores come from
-count sequences, scored once per distinct sequence and (alpha, power).
-A combination that reads the same parameter values as an earlier one
-(weight 0 ignores mu/k1/b, weight 1 ignores alpha/power) is skipped, as
-it could only tie.  For weights strictly between 0 and 1 the MRR tune
-ranks each target with the same walk as ``eval_mrr``.  Every float is
-computed by the same expressions in the same order as a model trained
-on the fold, so results are equal.
+Tuning shingles each word of the training pairs and builds each
+cognate pair's graph edges once, before the first fold; every fold's
+index and error model read them.  It then runs fold by fold: each fold
+fits its error model, builds the rows its grid points read (sims per
+(mu, k1, b), transformation scores per (alpha, power)), scores every
+grid combination and is dropped, so one fold's rows are alive at a
+time.  Transformation scores come from count sequences, scored once per
+distinct sequence and (alpha, power).  A combination that reads the
+same parameter values as an earlier one (weight 0 ignores mu/k1/b,
+weight 1 ignores alpha/power) is skipped, as it could only tie.  For
+weights strictly between 0 and 1 the MRR tune ranks each target with
+the same walk as ``eval_mrr``.  Every float is computed by the same
+expressions in the same order as a model trained on the fold, so
+results are equal.
 
 A system is anything with the two methods the experiments read:
 ``classify(source, target) -> bool`` and ``target_rank(query, lexicon,
@@ -64,7 +69,7 @@ from .scorer import (
     learn_threshold,
     train_scorer,
 )
-from .shingling import ShinglerConfig, ShingleSet, normalize_word, shingle
+from .shingling import ShinglerConfig, normalize_word, shingle
 
 
 @dataclass(frozen=True)
@@ -295,30 +300,6 @@ def _resolve_grids(
     return merged
 
 
-class _TuneCache:
-    """Fold-independent work of one tune call: shingle sets, and positives' graph edges."""
-
-    def __init__(self, config: ShinglerConfig):
-        self.config = config
-        self._sets: dict[str, ShingleSet] = {}
-        self._edges: dict[tuple[str, str], tuple] = {}
-
-    def shingle_set(self, word: str) -> ShingleSet:
-        cached = self._sets.get(word)
-        if cached is None:
-            cached = self._sets[word] = shingle(word, self.config)
-        return cached
-
-    def edges(self, source: str, target: str) -> tuple:
-        """Graph edges of a positive pair, counted by every fold that trains on it."""
-        key = (source, target)
-        cached = self._edges.get(key)
-        if cached is None:
-            cached = build_graph(self.shingle_set(source), self.shingle_set(target)).edges
-            self._edges[key] = cached
-        return cached
-
-
 def _effective_key(combo: dict) -> tuple:
     """The grid values a combo's scores read: _blend reads one side at weights 0 and 1."""
     weight = combo["sim_weight"]
@@ -356,24 +337,26 @@ def _trans_rows(model, rows, combos: Sequence[dict]) -> dict[tuple, list[list[fl
     return scored
 
 
-def _fold_accuracy(shared, model, function, train, val, combos) -> list[float]:
-    """Each combo's accuracy on ``val``, sims normalized and threshold learned on ``train``."""
-    sets = shared.shingle_set
+def _fold_accuracy(sets, model, function, train, val, combos) -> list[float]:
+    """Each combo's accuracy on ``val``, sims normalized and threshold learned on ``train``.
+
+    ``sets`` maps each word of the pairs to its shingle set.
+    """
     keys = _sim_keys(combos, lambda weight: weight > 0.0)
     if keys:
-        index = build_index([p.target for p in train], shared.config)
+        index = LexiconIndex([sets[p.target] for p in train], model.config)
     norms = {}
     for mu, k1, b in keys:
         params = RankerParams(function, k1=k1, b=b, mu=mu)
         tr_raw, val_raw = (
-            [sim(sets(p.source), sets(p.target), index, params) for p in part]
+            [sim(sets[p.source], sets[p.target], index, params) for p in part]
             for part in (train, val)
         )
         lo, hi = min(tr_raw), max(tr_raw)
         norms[mu, k1, b] = (_normalize(tr_raw, lo, hi), _normalize(val_raw, lo, hi))
     trans = _trans_rows(
         model,
-        ([_count_seq(sets(p.source), sets(p.target), model._nested) for p in part]
+        ([_count_seq(sets[p.source], sets[p.target], model._nested) for p in part]
          for part in (train, val)),
         combos,
     )
@@ -393,7 +376,7 @@ def _fold_accuracy(shared, model, function, train, val, combos) -> list[float]:
     return scores
 
 
-def _fold_mrr(shared, model, function, queries, index, combos) -> Optional[list[float]]:
+def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[float]]:
     """Each combo's MRR of the validation cognates ``queries`` over ``index``.
 
     ``None`` when the fold has no validation cognate.  Sims are
@@ -402,7 +385,7 @@ def _fold_mrr(shared, model, function, queries, index, combos) -> Optional[list[
     """
     if not queries:
         return None
-    sources = [shared.shingle_set(p.source) for p in queries]
+    sources = [sets[p.source] for p in queries]
     norms = {}
     for mu, k1, b in _sim_keys(combos, lambda weight: weight > 0.0):
         params = RankerParams(function, k1=k1, b=b, mu=mu)
@@ -453,12 +436,18 @@ def tune(
     shingler_config: ShinglerConfig,
     ranker_function: str,
     use_error_model: bool = True,
+    fixed: Optional[dict] = None,
     grids: Optional[dict] = None,
     folds: int = 5,
     seed: int = 42,
     objective: str = "accuracy",
 ) -> dict:
     """Cross-validated grid search; returns the winning hyperparameters.
+
+    ``fixed`` pins any of :data:`GRID_KEYS` to one value, which replaces
+    that key's grid.  When every grid holds one value nothing is
+    searched: the values are returned with ``"objective": "fixed"``, and
+    ``folds`` and ``objective`` are not read.
 
     ``objective`` is ``accuracy`` (classification) or ``mrr`` (ranking
     the training targets).  ``folds`` must be at least 2 and ``pairs``
@@ -468,12 +457,19 @@ def tune(
     values of every parameter it reads) is not scored: it could only
     tie.  Folds are scored one at a time, each on every combination.
     """
+    search = {key: list(values) for key, values in (grids or {}).items()}
+    for key, value in (fixed or {}).items():
+        if key not in GRID_KEYS:
+            raise ConfigError(f"unknown hyperparameter {key!r}")
+        search[key] = [value]
+    merged = _resolve_grids(search, ranker_function, use_error_model)
+    if all(len(values) == 1 for values in merged.values()):
+        return {**{key: values[0] for key, values in merged.items()}, "objective": "fixed"}
     if objective not in ("accuracy", "mrr"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
     _check_folds(folds)
     if len(pairs) < 2:
         raise TrainingError(f"cross-validation needs at least 2 training pairs, got {len(pairs)}")
-    merged = _resolve_grids(grids, ranker_function, use_error_model)
     first: dict[tuple, dict] = {}
     for values in itertools.product(*(merged[key] for key in GRID_KEYS)):
         combo = dict(zip(GRID_KEYS, values))
@@ -486,24 +482,28 @@ def tune(
     ]
     if use_error_model and not all(any(p.label for p in train) for train, _ in splits):
         raise TrainingError("a cross-validation fold has no positive training pairs")
-    if objective == "mrr":
-        lexicon = list(dict.fromkeys(normalize_word(p.target) for p in pairs))
-        lexicon_index = build_index(lexicon, shingler_config)
 
-    shared = _TuneCache(shingler_config)
+    # shingled and graphed once here, read by every fold
+    words = dict.fromkeys(word for p in pairs for word in (p.source, p.target))
+    sets = {word: shingle(word, shingler_config) for word in words}
+    positives = dict.fromkeys((p.source, p.target) for p in pairs if p.label and use_error_model)
+    edges = {(s, t): build_graph(sets[s], sets[t]).edges for s, t in positives}
+    if objective == "mrr":
+        lexicon = {sets[p.target].source_word: sets[p.target] for p in pairs}
+        lexicon_index = LexiconIndex(list(lexicon.values()), shingler_config)
+
     fold_scores: list[list[float]] = [[] for _ in combos]
     for train, val in splits:
         counts: Counter = Counter()
-        if use_error_model:
-            for p in train:
-                if p.label:
-                    counts.update(shared.edges(p.source, p.target))
+        for p in train:
+            if p.label and use_error_model:
+                counts.update(edges[p.source, p.target])
         model = _fit(counts, shingler_config)
         if objective == "accuracy":
-            scores = _fold_accuracy(shared, model, ranker_function, train, val, combos)
+            scores = _fold_accuracy(sets, model, ranker_function, train, val, combos)
         else:
             queries = [p for p in val if p.label]
-            scores = _fold_mrr(shared, model, ranker_function, queries, lexicon_index, combos)
+            scores = _fold_mrr(sets, model, ranker_function, queries, lexicon_index, combos)
         if scores is not None:
             for kept, score in zip(fold_scores, scores):
                 kept.append(score)
@@ -516,44 +516,6 @@ def tune(
     resolved["objective"] = objective
     resolved["folds"] = len(splits)
     return resolved
-
-
-def resolve_hyperparameters(
-    train_pairs: Sequence[LabeledPair],
-    shingler_config: ShinglerConfig,
-    ranker_function: str,
-    use_error_model: bool = True,
-    fixed: Optional[dict] = None,
-    grids: Optional[dict] = None,
-    folds: int = 5,
-    seed: int = 42,
-    objective: str = "accuracy",
-) -> dict:
-    """Pin any explicitly fixed values and tune whatever remains.
-
-    When every grid collapses to a single value the cross-validation is
-    skipped and the values are returned as-is.
-    """
-    search = {key: list(values) for key, values in (grids or {}).items()}
-    for key, value in (fixed or {}).items():
-        if key not in GRID_KEYS:
-            raise ConfigError(f"unknown hyperparameter {key!r}")
-        search[key] = [value]
-    merged = _resolve_grids(search, ranker_function, use_error_model)
-    if all(len(values) == 1 for values in merged.values()):
-        resolved = {key: values[0] for key, values in merged.items()}
-        resolved["objective"] = "fixed"
-        return resolved
-    return tune(
-        train_pairs,
-        shingler_config,
-        ranker_function,
-        use_error_model=use_error_model,
-        grids=search,
-        folds=folds,
-        seed=seed,
-        objective=objective,
-    )
 
 
 @dataclass
@@ -594,7 +556,8 @@ def fit_pipeline(
     """Train a scorer on ``train_pairs`` with resolved hyperparameters.
 
     ``resolved`` holds sim_weight/power/alpha/mu/k1/b, as returned by
-    :func:`resolve_hyperparameters`; the threshold is learned unless given.
+    :func:`tune`, tuned or pinned; the threshold is learned unless given.
+    The scorer indexes the shingle sets it makes of the training targets.
     """
     return train_scorer(
         [(p.source, p.target, p.label) for p in train_pairs],
@@ -665,7 +628,7 @@ def run_experiment(
     threshold = fixed.pop("threshold", None)
 
     def resolve(objective: str) -> dict:
-        return resolve_hyperparameters(
+        return tune(
             train,
             shingler_config,
             ranker_function,

@@ -13,7 +13,7 @@ import json
 from typing import Optional
 
 from .errors import CognateKitError, DataError
-from .error_model import model_from_dict
+from .error_model import _json_number, model_from_dict
 from .ranking import RankerParams, build_index
 from .scorer import CombinedScorer, ScoreConfig
 
@@ -54,22 +54,27 @@ def scorer_to_dict(
 
 
 def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
-    """Rebuild a scorer and its metadata; any fault in the document is a DataError."""
+    """Rebuild a scorer and its metadata; any fault in the document is a DataError.
+
+    Every numeric field must be a JSON number, and the similarity bounds
+    finite with ``sim_min < sim_max``.
+    """
     try:
         if payload.get("format") != MODEL_FORMAT:
             raise DataError(f"not a {MODEL_FORMAT} document")
         error_model = model_from_dict(payload["error_model"])
-        ranker_doc = payload["score_config"]["ranker"]
+        score_doc = payload["score_config"]
+        ranker_doc = score_doc["ranker"]
         config = ScoreConfig(
-            sim_weight=float(payload["score_config"]["lambda"]),
+            sim_weight=_json_number(score_doc["lambda"], "lambda"),
             ranker=RankerParams(
                 ranker_doc["function"],
-                k1=float(ranker_doc["k1"]),
-                b=float(ranker_doc["b"]),
-                mu=float(ranker_doc["mu"]),
+                k1=_json_number(ranker_doc["k1"], "k1"),
+                b=_json_number(ranker_doc["b"], "b"),
+                mu=_json_number(ranker_doc["mu"], "mu"),
             ),
-            normalization=payload["score_config"]["normalization"],
-            threshold=float(payload["score_config"]["threshold"]),
+            normalization=score_doc["normalization"],
+            threshold=_json_number(score_doc["threshold"], "threshold"),
         )
         words = payload["index_words"]
         if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
@@ -79,8 +84,8 @@ def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
             config,
             error_model,
             index,
-            sim_min=payload["sim_min"],
-            sim_max=payload["sim_max"],
+            sim_min=_json_number(payload["sim_min"], "sim_min"),
+            sim_max=_json_number(payload["sim_max"], "sim_max"),
         )
         meta = {
             "seed": payload.get("seed"),

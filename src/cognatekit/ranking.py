@@ -106,17 +106,17 @@ class LexiconIndex:
     the documents holding it, in document order; ``df`` is their count.
     ``words`` and ``doc_lens`` give each document's word and token count,
     and ``size_ids`` the ids of each token count.
-    Duplicate words are kept as distinct documents; statistics reflect
-    the list as given.
+    Documents are shingle sets made with ``config``, so callers that
+    already hold them index without shingling again; :func:`build_index`
+    shingles words.  Duplicate words are kept as distinct documents;
+    statistics reflect the list as given.
     """
 
-    def __init__(self, lexicon: Sequence[str], config: ShinglerConfig):
-        if not lexicon:
+    def __init__(self, docs: Sequence[ShingleSet], config: ShinglerConfig):
+        if not docs:
             raise ConfigError("lexicon must contain at least one word")
         self.config = config
-        self.docs: list[tuple[str, ShingleSet]] = [
-            (doc.source_word, doc) for doc in (shingle(word, config) for word in lexicon)
-        ]
+        self.docs: list[tuple[str, ShingleSet]] = [(doc.source_word, doc) for doc in docs]
         self.words = [word for word, _ in self.docs]
         self.postings, self.doc_lens, self.size_ids = _postings(
             doc.tokens for _, doc in self.docs
@@ -160,7 +160,7 @@ def _postings(token_sets: Iterable[Collection[str]]) -> _Postings:
 
 
 def build_index(lexicon: Sequence[str], config: ShinglerConfig) -> LexiconIndex:
-    return LexiconIndex(lexicon, config)
+    return LexiconIndex([shingle(word, config) for word in lexicon], config)
 
 
 _PLAIN_BIGRAMS = ShinglerConfig((2,), "plain")

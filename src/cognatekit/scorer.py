@@ -44,7 +44,6 @@ from .ranking import (
     LexiconIndex,
     RankerParams,
     _position,
-    build_index,
     sim,
     sim_all,
     sim_order,
@@ -320,11 +319,11 @@ def train_scorer(
     if not positives:
         raise TrainingError("training requires at least one positive (cognate) pair")
     error_model = train_error_model(positives, shingler_config, alpha, power)
-    index = build_index([t for _, t, _ in pairs], shingler_config)
     sets = [
         (shingle(s, shingler_config), shingle(t, shingler_config), label)
         for s, t, label in pairs
     ]
+    index = LexiconIndex([t for _, t, _ in sets], shingler_config)
     raws = [sim(s, t, index, ranker) for s, t, _ in sets]
     sim_min, sim_max = min(raws), max(raws)
     if not sim_min < sim_max:

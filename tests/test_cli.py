@@ -78,6 +78,27 @@ class TestTrainCommand:
 NAN = float("nan")
 
 
+def setting(*edits):
+    """A model edit that sets the value at each key path of ``edits``."""
+
+    def edit(payload):
+        for keys, value in edits:
+            holder = payload
+            for key in keys[:-1]:
+                holder = holder[key]
+            holder[keys[-1]] = value
+
+    return edit
+
+
+def fractional_edge_count(payload):
+    """Raise an edge count from 1 to 1.5, and total_count to match."""
+    model = payload["error_model"]
+    edge = next(edge for edge, count in model["edge_counts"].items() if count == 1)
+    model["edge_counts"][edge] = 1.5
+    model["total_count"] += 0.5
+
+
 class TestClassifyCommand:
     def test_prints_label_and_score(self, model_file, capsys):
         assert main(["classify", "mesia", "messia", "--model", str(model_file)]) == 0
@@ -90,31 +111,40 @@ class TestClassifyCommand:
         assert main(["classify", "a", "b", "--model", str(tmp_path / "none.json")]) == 2
 
     @pytest.mark.parametrize(
-        "keys, value",
+        "edit, command",
         [
-            (("error_model", "shingler_config", "gram_sizes"), [1]),
-            (("sim_min",), NAN),
-            (("index_words",), []),
-            (("index_words",), ["a b"]),
-            (("error_model", "alpha"), NAN),
-            (("score_config", "ranker", "mu"), NAN),
-            (("index_words",), "abc"),
-            (("sim_max",), None),
-            (("score_config", "ranker", "mu"), 5e-324),
+            (setting((("error_model", "shingler_config", "gram_sizes"), [1])), "classify"),
+            (setting((("sim_min",), NAN)), "classify"),
+            (setting((("index_words",), [])), "classify"),
+            (setting((("index_words",), ["a b"])), "classify"),
+            (setting((("error_model", "alpha"), NAN)), "classify"),
+            (setting((("score_config", "ranker", "mu"), NAN)), "classify"),
+            (setting((("index_words",), "abc")), "classify"),
+            (setting((("sim_max",), None)), "classify"),
+            (setting((("score_config", "ranker", "mu"), 5e-324)), "classify"),
+            (setting((("score_config", "lambda"), True)), "classify"),
+            (setting((("score_config", "threshold"), "0.5")), "classify"),
+            (setting((("error_model", "q"), "2")), "classify"),
+            (setting((("sim_min",), False), (("sim_max",), True)), "classify"),
+            (setting((("sim_min",), False)), "classify"),
+            (fractional_edge_count, "classify"),
+            (setting((("error_model", "distinct_edges"), 1e6)), "classify"),
+            # classify fails on missing bounds anyway; rank --model does not read them
+            (setting((("sim_min",), None), (("sim_max",), None)), "rank"),
         ],
         ids=[
             "gram-size-1", "nan-sim-min", "empty-index", "index-word-with-space",
             "nan-alpha", "nan-mu", "index-words-string", "one-bound-only", "subnormal-mu",
+            "bool-lambda", "string-threshold", "string-q", "bool-bounds", "bool-sim-min",
+            "fractional-edge-count", "float-distinct-edges", "null-bounds",
         ],
     )
-    def test_bad_model_values_are_data_errors(self, model_file, keys, value, capsys):
+    def test_bad_model_values_are_data_errors(self, model_file, edit, command, capsys):
         payload = json.loads(model_file.read_text())
-        holder = payload
-        for key in keys[:-1]:
-            holder = holder[key]
-        holder[keys[-1]] = value
+        edit(payload)
         model_file.write_text(json.dumps(payload))
-        assert main(["classify", "mesia", "messia", "--model", str(model_file)]) == 2
+        argv = {"classify": ["classify", "mesia", "messia"], "rank": ["rank", "mesia"]}[command]
+        assert main(argv + ["--model", str(model_file)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -232,6 +262,22 @@ class TestEvalCommand:
         for key in ("accuracy", "mrr", "per_query_ranks", "train_size", "test_size",
                     "lexicon_size"):
             assert saved_result[key] == fresh_result[key], key
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--lambda", "0.0"], ["--q", "2"], ["--alpha", "0.5"], ["--mu", "5"], ["--k1", "1.0"],
+         ["--b", "0.5"], ["--threshold", "0.9"], ["--no-tune"]],
+        ids=lambda flag: flag[0],
+    )
+    @pytest.mark.parametrize("option", ["--model", "--method"])
+    def test_pinned_values_rejected_with_model_or_method(
+        self, option, flag, model_file, synthetic_dataset_file, capsys
+    ):
+        # neither a saved model nor a baseline reads them: they would be ignored
+        value = str(model_file) if option == "--model" else "lcsr"
+        argv = ["eval", "--dataset", str(synthetic_dataset_file), option, value]
+        assert main(argv + flag) == 1
+        assert capsys.readouterr().err == f"error: {flag[0]} is not read with {option}\n"
 
     def test_empty_lexicon_is_data_error(self, tmp_path, synthetic_dataset_file, capsys):
         lexicon = tmp_path / "lex.txt"

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -39,10 +40,9 @@ from cognatekit.evaluation import (
     _resolve_grids,
     dataset_lexicon,
     format_report_table,
-    resolve_hyperparameters,
     stratified_folds,
 )
-from cognatekit.ranking import RANKING_FUNCTIONS, order_scored, target_rank
+from cognatekit.ranking import RANKING_FUNCTIONS, LexiconIndex, order_scored, target_rank
 from cognatekit.scorer import _blend, _walked_rank
 
 from conftest import make_hard_synthetic_pairs, make_synthetic_pairs, random_word
@@ -271,6 +271,8 @@ class TestTune:
     def test_unknown_grid_key_rejected(self, synthetic_pairs):
         with pytest.raises(ConfigError):
             tune(synthetic_pairs, TWO_END, "dirichlet", grids={"gamma": [1]})
+        with pytest.raises(ConfigError, match="unknown hyperparameter 'threshold'"):
+            tune(synthetic_pairs, TWO_END, "dirichlet", fixed={"threshold": 0.5})
 
     def test_empty_grid_rejected(self, synthetic_pairs):
         with pytest.raises(ConfigError):
@@ -461,26 +463,61 @@ class TestTune:
             )
             assert walked == expected
 
-    def test_mrr_tune_builds_no_fold_index(self, monkeypatch):
+    @staticmethod
+    def counted_indexes(monkeypatch):
+        """The document count of every LexiconIndex built, however it is built."""
         built = []
-        real_build = evaluation.build_index
+        real_init = LexiconIndex.__init__
 
-        def counting_build(words, config):
-            built.append(len(words))
-            return real_build(words, config)
+        def counting_init(self, docs, config):
+            built.append(len(docs))
+            real_init(self, docs, config)
 
-        monkeypatch.setattr(evaluation, "build_index", counting_build)
+        monkeypatch.setattr(LexiconIndex, "__init__", counting_init)
+        return built
+
+    def test_mrr_tune_builds_no_fold_index(self, monkeypatch):
+        built = self.counted_indexes(monkeypatch)
         pairs = make_hard_synthetic_pairs(20, 20)
+        pairs += pairs[:3]  # a repeated target is one lexicon word
         tune(pairs, TWO_END, "dirichlet", grids={"sim_weight": [0.0, 0.5, 1.0]}, objective="mrr")
         assert built == [len(set(p.target for p in pairs))]  # the lexicon's alone
 
+    def test_accuracy_tune_shingles_each_word_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting_shingle(word, config):
+            calls[word] += 1
+            return shingle(word, config)
+
+        for module in ("evaluation", "ranking", "scorer", "error_model"):
+            monkeypatch.setattr(f"cognatekit.{module}.shingle", counting_shingle)
+        pairs = make_hard_synthetic_pairs(20, 20)
+        pairs += pairs[:5]  # a repeated pair is shingled once too
+        tune(pairs, TWO_END, "dirichlet", grids={"sim_weight": [0.0, 0.5, 1.0]})
+        assert calls == Counter({word: 1 for p in pairs for word in (p.source, p.target)})
+
+    def test_every_grid_pinned_returns_the_pinned_values(self, synthetic_pairs, monkeypatch):
+        built = self.counted_indexes(monkeypatch)
+        fixed = {"sim_weight": 0.4, "power": 2.0, "alpha": 0.5, "mu": 5.0, "k1": 1.0, "b": 0.5}
+        for objective in ("accuracy", "mrr", "unread"):
+            resolved = tune(synthetic_pairs, TWO_END, "dirichlet", fixed=fixed, folds=0,
+                            objective=objective)
+            assert resolved == {**fixed, "objective": "fixed"}
+        assert built == []
+
+    def test_pinned_value_overrides_its_grid(self, synthetic_pairs):
+        grids = {"sim_weight": [0.0, 1.0], "mu": [1.0, 50.0], "power": [1.0]}
+        resolved = tune(synthetic_pairs, TWO_END, "dirichlet", fixed={"mu": 7.0}, grids=grids)
+        assert resolved["mu"] == 7.0
+        assert resolved["objective"] == "accuracy"
+        resolved = tune(synthetic_pairs, TWO_END, "dirichlet", fixed={"sim_weight": 0.5, "mu": 7.0},
+                        grids=grids, folds=0)
+        assert resolved["objective"] == "fixed"
+        assert (resolved["sim_weight"], resolved["mu"]) == (0.5, 7.0)
+
     def test_irrelevant_dimensions_collapse(self, synthetic_pairs):
-        resolved = resolve_hyperparameters(
-            synthetic_pairs,
-            TWO_END,
-            "jaccard",
-            use_error_model=False,
-        )
+        resolved = tune(synthetic_pairs, TWO_END, "jaccard", use_error_model=False)
         # nothing left to search: sim-only jaccard has no free parameters
         assert resolved["objective"] == "fixed"
         assert resolved["sim_weight"] == 1.0

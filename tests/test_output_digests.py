@@ -1,9 +1,11 @@
-"""The files the CLI writes, pinned by sha256 digest.
+"""The CLI's outputs, pinned by sha256 digest.
 
-Reports and models must stay byte-identical when the code behind them
-is refactored and across Python versions (3.12 changed ``sum()`` over
-floats), so each case's output file is hashed and compared with a
-digest recorded once.  Stdout is not hashed: it prints temporary paths.
+Reports, models and rankings must stay byte-identical when the code
+behind them is refactored and across Python versions (3.12 changed
+``sum()`` over floats), so each case's output is hashed and compared
+with a digest recorded once.  ``eval``, ``train`` and ``ablate`` print
+temporary paths, so their output file is hashed; ``rank`` and
+``classify`` print only results, so their stdout and exit code are.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import hashlib
 import pytest
 
 from cognatekit.cli import main
+from cognatekit.ranking import RANKING_FUNCTIONS
 
 from conftest import make_hard_synthetic_pairs
 
@@ -52,3 +55,126 @@ def test_output_file_digest(name, dataset, tmp_path):
     out = tmp_path / "out.json"
     assert main(argv + ["--dataset", str(dataset), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# rank over the dataset's words plus 20 repeated targets, for its first source
+RANK_CASES = {
+    "rank-intersection": "d103024b9685ca60a879eba34ebbdd1c7f98af962f357fab2977988c721f22d9",
+    "rank-intersection-k1": "00b44ed52ccd09b4a5802cf94ee011493b2002a035085d3a2f390e7cce4bd38d",
+    "rank-intersection-k10": "098db32580e5015fbc2f7df16e0af11606585880a92f39ea861296d8b66870cd",
+    "rank-jaccard": "76e66db45a8f5ecb2ede80ebca0d3f3783b9d20fba94cad81009b047d25261ef",
+    "rank-jaccard-k1": "76609f99f1e8fb6709736c1cee4beac040320a396bbe39c94ee4f2a249d82e60",
+    "rank-jaccard-k10": "cb5e475316a2e280c22bc0d0652045bed294f73743aa1036c8ed3e48b05fc3c5",
+    "rank-dice": "9c47141307ec3cb019746102fecd116d4bce9ecd6f5a4a937d84092f087af1b7",
+    "rank-dice-k1": "76609f99f1e8fb6709736c1cee4beac040320a396bbe39c94ee4f2a249d82e60",
+    "rank-dice-k10": "3bda03404a64c721a3dd9ea0e971976528b3d78057b8814fc3e400153c690658",
+    "rank-xdice": "27e3ecb25f971a2eed6ac3da10efe7ff8fdba0d8b8b6a8319ab578bce2ecea3e",
+    "rank-xdice-k1": "76609f99f1e8fb6709736c1cee4beac040320a396bbe39c94ee4f2a249d82e60",
+    "rank-xdice-k10": "a06c413f64b49c7cf18b641e4dfa75ef6f8b805edb2a7b657bcfbd742182c637",
+    "rank-tfidf": "5cfe7aac6583b08467616bbc263fb240a41b9bf82694d46e4c41b4c71f4356be",
+    "rank-tfidf-k1": "036ffd3dc1b23bcc098e27effcde28b44b4c9de40c388fe33c8e3c9d22ffb205",
+    "rank-tfidf-k10": "794d12a1537e0a3e1f9b63f062ee51b632a59035fc377cb1df80d349ce5e9ca5",
+    "rank-bm25": "d37e4e97d097d1e04bb84665e6b6043cdcdbeb7169217c77c9fa91a10aee65bd",
+    "rank-bm25-k1": "8f8ffe3b121d735b0a47d44da9b22a4b620be3a1f4442c59856a83ecd4b8fc0d",
+    "rank-bm25-k10": "b4e3a753b1326a579c71640e3a2fc9a4ec28cad1505ee11ccccfce9bc1d58773",
+    "rank-dirichlet": "522b3c81bfef2546254cd845406a29a2ccf668f310d2ecc65767408c2dad3248",
+    "rank-dirichlet-k1": "0170f48db72e5fc56b970e868ddd15d9f7e1511017d22bb93e2d4fd1193eec5d",
+    "rank-dirichlet-k10": "9d0ac3a6fd3c574febffbab69f37be502b439ff4a936fcf863fa2d03496a4f18",
+}
+
+MODELS = {
+    "no-tune": ["--no-tune"],
+    "accuracy": [],
+    "mrr": ["--objective", "mrr"],
+}
+
+# rank --model [--lexicon] [-k 10], and classify of the first cognate and non-cognate
+MODEL_CASES = {
+    "no-tune-rank": "74f82fec9e227b460a77b765007c778908f5854cef42902a79a87834c4044cce",
+    "no-tune-rank-k10": "f77b80b7b8d94f73bd6a171a9eff1eb5cc0221ee980b2eafb108aac6d1e63e38",
+    "no-tune-rank-lexicon": "7a0bb27c507563d27e6c5ae9ddb1f7f1fe7566d4e40b5fa789dcad9e0d8323f7",
+    "no-tune-rank-lexicon-k10": "e631b9b023c34d015e3d6fdfdc7baa9f7ae418d96ebf5f3fcdfd98c9bbc4c844",
+    "no-tune-classify-cognate": "c316bb5bae595b79bb2eac99577e605541a0fd11a63803cb431b6de1a28a1692",
+    "no-tune-classify-non-cognate": "1905f5f0a367f7eabede507d359644ade078d03edbca14b2b8f2d744890527a6",
+    "accuracy-rank": "4121ded0b8b59ea29f0c045ec324616d7a2d97f4d82db31881b38bf876dd8738",
+    "accuracy-rank-k10": "1f49b35182628618b4624e585f7818fe664dc0527beb2477d14dd1c38e4464f4",
+    "accuracy-rank-lexicon": "12161777fcaaf90901d53c314fe08d8a4f6e9a013fac6c08575253eb5c1e3091",
+    "accuracy-rank-lexicon-k10": "4f66199a4de739157de5ba879d12b1d7a7d8452f7dd2e6b68dc437b254728f92",
+    "accuracy-classify-cognate": "b81dcfc24660afef86eb7bc0b619a0787ad41631543c19c50c4f8ceb36c2d51d",
+    "accuracy-classify-non-cognate": "1273cf99bd3aa131d6efce3645436c9adff1b7d887e90a2cc48ec69604fb38c0",
+    "mrr-rank": "367164ae15edae8aabdaf87181cdab941786540f612c0db2ac2c584fd972948f",
+    "mrr-rank-k10": "bfd44cd496fa41d9be2e5a853183ee0dd7909e107b65b2ec0dce0073a085320a",
+    "mrr-rank-lexicon": "31779e63b610acfab9071cc86d20e5ca0c9fb3500bb779d3a0b1a09383d1617e",
+    "mrr-rank-lexicon-k10": "74d46f5f9eb079294cbc5596336220ee1efe8e13c40b19f64987cba30b514ac9",
+    "mrr-classify-cognate": "aced5f5aa87a2c614e52ab3e18c73f7417ab1ba6905b12071f6a1555adb65a9d",
+    "mrr-classify-non-cognate": "444551662f53fd768803251b2bef3b210f9867ba1496ff9264fc5cb5190992c5",
+}
+
+PAIRS = make_hard_synthetic_pairs(40, 40)
+QUERY = PAIRS[0].source
+COGNATE = next(p for p in PAIRS if p.label)
+NON_COGNATE = next(p for p in PAIRS if not p.label)
+
+
+def stdout_digest(argv, capsys) -> str:
+    """sha256 of the exit code and stdout of one CLI run."""
+    capsys.readouterr()
+    code = main(argv)
+    return hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lexicon(tmp_path_factory):
+    words = [p.source for p in PAIRS] + [p.target for p in PAIRS]
+    words += [p.target for p in PAIRS[:20]]  # duplicates are distinct documents
+    path = tmp_path_factory.mktemp("digests") / "lexicon.txt"
+    path.write_text("\n".join(words) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def models(dataset, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("models")
+    paths = {}
+    for name, flags in MODELS.items():
+        paths[name] = folder / f"{name}.json"
+        assert main(["train", "--dataset", str(dataset), "--out", str(paths[name])] + flags) == 0
+    return paths
+
+
+@pytest.mark.parametrize("function", RANKING_FUNCTIONS)
+@pytest.mark.parametrize("top", [None, 1, 10])
+def test_rank_digest(function, top, lexicon, capsys):
+    name = f"rank-{function}" + ("" if top is None else f"-k{top}")
+    argv = ["rank", QUERY, "--lexicon", str(lexicon), "--ranker", function]
+    if top is not None:
+        argv += ["-k", str(top)]
+    assert stdout_digest(argv, capsys) == RANK_CASES[name]
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@pytest.mark.parametrize("with_lexicon", [False, True])
+@pytest.mark.parametrize("top", [None, 10])
+def test_rank_model_digest(model, with_lexicon, top, models, lexicon, capsys):
+    name = f"{model}-rank" + ("-lexicon" if with_lexicon else "") + ("" if top is None else "-k10")
+    argv = ["rank", QUERY, "--model", str(models[model])]
+    if with_lexicon:
+        argv += ["--lexicon", str(lexicon)]
+    if top is not None:
+        argv += ["-k", str(top)]
+    assert stdout_digest(argv, capsys) == MODEL_CASES[name]
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@pytest.mark.parametrize("pair", [COGNATE, NON_COGNATE], ids=["cognate", "non-cognate"])
+def test_classify_digest(model, pair, models, capsys):
+    name = f"{model}-classify-" + ("cognate" if pair.label else "non-cognate")
+    argv = ["classify", pair.source, pair.target, "--model", str(models[model])]
+    assert stdout_digest(argv, capsys) == MODEL_CASES[name]
+
+
+@pytest.mark.parametrize("flags, code", [(["--no-tune"], 0), ([], 1)], ids=["no-tune", "tune"])
+def test_train_with_zero_folds_exit_code(flags, code, dataset, tmp_path):
+    # folds are read only when something is tuned
+    argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.json"), "--folds", "0"]
+    assert main(argv + flags) == code
