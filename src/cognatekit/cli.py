@@ -135,17 +135,22 @@ def build_parser() -> _Parser:
     p_classify.add_argument("target")
     p_classify.add_argument("--model", required=True)
 
-    p_rank = sub.add_parser("rank", help="rank a lexicon against a query word")
+    p_rank = sub.add_parser(
+        "rank",
+        help="rank a lexicon against a query word",
+        description="With --model the saved model's shingling, ranker and blend are used: "
+        "--mode and --k are not read, and --ranker, --mu, --k1 or --b exits 1.",
+    )
     p_rank.add_argument("word")
     p_rank.add_argument("--model", help="saved model; falls back to its index words")
     p_rank.add_argument("--lexicon", help="one-word-per-line lexicon file")
     p_rank.add_argument("-k", "--top", dest="top", type=int, default=None,
                         help="return only the best K candidates")
-    p_rank.add_argument("--ranker", choices=RANKING_FUNCTIONS, default="dirichlet",
-                        help="ranking function for model-free ranking")
-    p_rank.add_argument("--mu", type=float, default=_DEFAULTS["mu"])
-    p_rank.add_argument("--k1", type=float, default=_DEFAULTS["k1"])
-    p_rank.add_argument("--b", type=float, default=_DEFAULTS["b"])
+    p_rank.add_argument("--ranker", choices=RANKING_FUNCTIONS, default=None,
+                        help="ranking function for model-free ranking (default: dirichlet)")
+    p_rank.add_argument("--mu", type=float, default=None, help=f"default: {_DEFAULTS['mu']}")
+    p_rank.add_argument("--k1", type=float, default=None, help=f"default: {_DEFAULTS['k1']}")
+    p_rank.add_argument("--b", type=float, default=None, help=f"default: {_DEFAULTS['b']}")
     _add_shingler_flags(p_rank)
 
     p_eval = sub.add_parser("eval", help="run both experiments on a dataset")
@@ -214,7 +219,11 @@ def _cmd_classify(args) -> int:
 def _cmd_rank(args) -> int:
     if args.model is None and args.lexicon is None:
         raise _UsageError("rank needs --model and/or --lexicon")
+    flags = {"ranker": "--ranker", "mu": "--mu", "k1": "--k1", "b": "--b"}
+    given = [flag for key, flag in flags.items() if getattr(args, key) is not None]
     if args.model is not None:
+        if given:
+            raise _UsageError(f"{given[0]} is not read with --model")
         scorer, _ = load_model(args.model)
         config = scorer.shingler_config
         if args.lexicon is not None:
@@ -230,7 +239,9 @@ def _cmd_rank(args) -> int:
     else:
         config = _shingler_config(args)
         index = build_index(load_lexicon(args.lexicon), config)
-        params = RankerParams(args.ranker, k1=args.k1, b=args.b, mu=args.mu)
+        values = {key: _DEFAULTS[key] if getattr(args, key) is None else getattr(args, key)
+                  for key in ("mu", "k1", "b")}
+        params = RankerParams(args.ranker or "dirichlet", **values)
         ranked = rank(args.word, index, params=params, k=args.top)
     for word, score in ranked:
         print(f"{word}\t{score!r}")

@@ -10,9 +10,10 @@ top token is connected to every bottom token.  An edge such as
 Edge frequencies counted over known cognate pairs, with additive
 smoothing, estimate how probable each transformation is; the mean of
 the smoothed edge probabilities (raised to a strength exponent) scores
-how plausibly one word transforms into the other.  Every model, trained
-or built per cross-validation fold, comes from :func:`_fit`, the one
-place that totals the counts and counts the unseen class.
+how plausibly one word transforms into the other.  A model, trained or
+built per cross-validation fold, holds only its edge counts and settings:
+it derives the total count and the distinct edges plus one unseen class
+from the counts itself, so the two can never disagree.
 
 Every transformation score, whether from a trained :class:`ErrorModel`
 or from cross-validated tuning, goes through one kernel: the graph's
@@ -158,19 +159,20 @@ def _decode_edge(text: str):
 class ErrorModel:
     """Edge-frequency table with additive smoothing.
 
-    ``distinct_edges`` counts the observed distinct edges plus one
-    aggregate class for everything unseen, so unseen edges receive the
-    smoothing floor without enumerating the edge universe.  ``power``
-    is the strength exponent applied to each edge probability before
-    averaging.
+    ``total_count`` (the sum of the counts) and ``distinct_edges`` (the
+    observed distinct edges plus one aggregate class for everything
+    unseen, so unseen edges receive the smoothing floor without
+    enumerating the edge universe) are derived from ``edge_counts``.
+    ``power`` is the strength exponent applied to each edge probability
+    before averaging.
     """
 
     config: ShinglerConfig
     edge_counts: Mapping
-    total_count: int
-    distinct_edges: int
     alpha: float = 1.0
     power: float = 1.0
+    total_count: int = field(init=False, compare=False)
+    distinct_edges: int = field(init=False, compare=False)
     _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -180,10 +182,8 @@ class ErrorModel:
             raise ConfigError(f"strength exponent must be finite and > 0, got {self.power}")
         if any(count < 0 for count in self.edge_counts.values()):
             raise ConfigError("edge counts must not be negative")
-        if self.total_count != sum(self.edge_counts.values()):
-            raise ConfigError("total_count does not match the edge counts")
-        if self.distinct_edges < len(self.edge_counts) + 1:
-            raise ConfigError("distinct_edges must cover observed edges plus the unseen class")
+        object.__setattr__(self, "total_count", sum(self.edge_counts.values()))
+        object.__setattr__(self, "distinct_edges", len(self.edge_counts) + 1)
         counts = set(self.edge_counts.values()) | {0}
         table = _power_table(counts, self.total_count, self.distinct_edges, self.alpha, self.power)
         object.__setattr__(self, "_table", table)
@@ -249,7 +249,9 @@ def _json_int(value, name: str) -> int:
 def model_from_dict(payload: dict) -> ErrorModel:
     """Rebuild an :class:`ErrorModel` from its JSON representation.
 
-    Counts must be JSON integers and ``alpha`` and ``q`` JSON numbers.
+    Counts must be JSON integers and ``alpha`` and ``q`` JSON numbers;
+    ``total_count`` and ``distinct_edges`` must equal the values the
+    counts give.
     """
     try:
         config = ShinglerConfig(
@@ -262,30 +264,19 @@ def model_from_dict(payload: dict) -> ErrorModel:
             _decode_edge(key): _json_int(count, "an edge count")
             for key, count in payload["edge_counts"].items()
         }
-        return ErrorModel(
-            config=config,
-            edge_counts=counts,
-            total_count=_json_int(payload["total_count"], "total_count"),
-            distinct_edges=_json_int(payload["distinct_edges"], "distinct_edges"),
+        model = ErrorModel(
+            config,
+            counts,
             alpha=_json_number(payload["alpha"], "alpha"),
             power=_json_number(payload["q"], "q"),
         )
+        for name in ("total_count", "distinct_edges"):
+            derived = getattr(model, name)
+            if _json_int(payload[name], name) != derived:
+                raise DataError(f"{name} is {payload[name]}, but the edge counts give {derived}")
+        return model
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed error-model document: {exc}") from exc
-
-
-def _fit(
-    counts: Mapping, config: ShinglerConfig, alpha: float = 1.0, power: float = 1.0
-) -> ErrorModel:
-    """The model of edge ``counts``: observed distinct edges plus one unseen class."""
-    return ErrorModel(
-        config=config,
-        edge_counts=dict(counts),
-        total_count=sum(counts.values()),
-        distinct_edges=len(counts) + 1,
-        alpha=alpha,
-        power=power,
-    )
 
 
 def train_error_model(
@@ -305,4 +296,4 @@ def train_error_model(
     for source, target in pairs:
         graph = build_graph(shingle(source, config), shingle(target, config))
         counts.update(graph.edges)
-    return _fit(counts, config, alpha, power)
+    return ErrorModel(config, dict(counts), alpha, power)

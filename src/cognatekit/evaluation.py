@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 
 from .baselines import baseline_similarity
 from .errors import ConfigError, DataError, InvalidWordError, TrainingError
-from .error_model import _count_seq, _fit, _mean_score, build_graph
+from .error_model import ErrorModel, _count_seq, _mean_score, build_graph
 from .ranking import (
     LexiconIndex,
     RankerParams,
@@ -129,14 +129,12 @@ def _label_groups(pairs: Sequence[LabeledPair]) -> list[list[LabeledPair]]:
 
 
 def split(
-    pairs: Sequence[LabeledPair],
-    seed: int = 42,
-    test_fraction: float = 0.25,
+    pairs: Sequence[LabeledPair], seed: int = 42
 ) -> tuple[list[LabeledPair], list[LabeledPair]]:
-    """Deterministic stratified train/test split (3:1 by default).
+    """Deterministic stratified 3:1 train/test split.
 
-    The test side gets floor(n * test_fraction) pairs, allocated across
-    labels by largest remainder.  Membership depends only on the pairs'
+    The test side gets floor(n / 4) pairs, allocated across labels by
+    largest remainder.  Membership depends only on the pairs'
     identities and the seed, never on input order.
     """
     n = len(pairs)
@@ -146,6 +144,7 @@ def split(
     groups = _label_groups(pairs)
     for group in groups:
         rng.shuffle(group)
+    test_fraction = 0.25
     test_total = int(n * test_fraction)
     quotas = [len(g) * test_fraction for g in groups]
     base = [int(q) for q in quotas]
@@ -498,7 +497,7 @@ def tune(
         for p in train:
             if p.label and use_error_model:
                 counts.update(edges[p.source, p.target])
-        model = _fit(counts, shingler_config)
+        model = ErrorModel(shingler_config, dict(counts))
         if objective == "accuracy":
             scores = _fold_accuracy(sets, model, ranker_function, train, val, combos)
         else:
@@ -611,7 +610,6 @@ def run_experiment(
     folds: int = 5,
     fixed: Optional[dict] = None,
     extra_lexicon: Optional[Sequence[str]] = None,
-    label: str = "",
 ) -> EvalReport:
     """Split, tune, fit, and evaluate both experiments.
 
@@ -664,12 +662,11 @@ def run_experiment(
         "classification": summarize(resolved_cls),
         "ranking": summarize(resolved_rank),
     }
-    if not label:
-        ends = {"plain": "0-ended", "one_end": "1-ended", "two_end": "2-ended"}
-        sizes = "+".join(str(k) for k in shingler_config.gram_sizes)
-        label = f"{sizes}-gram {ends[shingler_config.mode]} {ranker_function}"
-        if use_error_model:
-            label += " + error model"
+    ends = {"plain": "0-ended", "one_end": "1-ended", "two_end": "2-ended"}
+    sizes = "+".join(str(k) for k in shingler_config.gram_sizes)
+    label = f"{sizes}-gram {ends[shingler_config.mode]} {ranker_function}"
+    if use_error_model:
+        label += " + error model"
     return evaluate(
         PipelineSystem(classifier),
         PipelineSystem(ranker),

@@ -330,18 +330,11 @@ def train_scorer(
         raise TrainingError(
             "all training pairs have identical raw similarity; cannot learn bounds"
         )
-    config = ScoreConfig(
-        sim_weight=sim_weight,
-        ranker=ranker,
-        normalization="trained_minmax",
-        threshold=0.0 if threshold is None else threshold,
-    )
-    scorer = CombinedScorer(config, error_model, index, sim_min, sim_max)
     if threshold is None:
         trans = []
         if sim_weight < 1.0:
             trans = [error_model.transformation_score(s, t) for s, t, _ in sets]
         scores = _blend(sim_weight, _normalize(raws, sim_min, sim_max), trans)
-        learned = learn_threshold(scores, [label for _, _, label in sets])
-        scorer = scorer.with_config(threshold=learned)
-    return scorer
+        threshold = learn_threshold(scores, [label for _, _, label in sets])
+    config = ScoreConfig(sim_weight, ranker, "trained_minmax", threshold)
+    return CombinedScorer(config, error_model, index, sim_min, sim_max)

@@ -99,6 +99,15 @@ def fractional_edge_count(payload):
     model["total_count"] += 0.5
 
 
+def raising(key):
+    """A model edit that adds 1 to an error-model total, an integer still."""
+
+    def edit(payload):
+        payload["error_model"][key] += 1
+
+    return edit
+
+
 class TestClassifyCommand:
     def test_prints_label_and_score(self, model_file, capsys):
         assert main(["classify", "mesia", "messia", "--model", str(model_file)]) == 0
@@ -129,6 +138,10 @@ class TestClassifyCommand:
             (setting((("sim_min",), False)), "classify"),
             (fractional_edge_count, "classify"),
             (setting((("error_model", "distinct_edges"), 1e6)), "classify"),
+            (raising("distinct_edges"), "classify"),
+            (raising("total_count"), "classify"),
+            (raising("distinct_edges"), "rank"),
+            (raising("total_count"), "rank"),
             # classify fails on missing bounds anyway; rank --model does not read them
             (setting((("sim_min",), None), (("sim_max",), None)), "rank"),
         ],
@@ -136,7 +149,9 @@ class TestClassifyCommand:
             "gram-size-1", "nan-sim-min", "empty-index", "index-word-with-space",
             "nan-alpha", "nan-mu", "index-words-string", "one-bound-only", "subnormal-mu",
             "bool-lambda", "string-threshold", "string-q", "bool-bounds", "bool-sim-min",
-            "fractional-edge-count", "float-distinct-edges", "null-bounds",
+            "fractional-edge-count", "float-distinct-edges", "distinct-edges-plus-one",
+            "total-count-plus-one", "rank-distinct-edges-plus-one", "rank-total-count-plus-one",
+            "null-bounds",
         ],
     )
     def test_bad_model_values_are_data_errors(self, model_file, edit, command, capsys):
@@ -173,6 +188,36 @@ class TestRankCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split("\t")[0] == "nacht"
         assert len(lines) == 3
+
+    def test_default_ranker_flags(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("noche\nnacht\nnotte\n")
+        argv = ["rank", "nuit", "--lexicon", str(lexicon)]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        flags = ["--ranker", "dirichlet", "--mu", "10", "--k1", "1.2", "--b", "0.75"]
+        assert main(argv + flags) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--ranker", "bm25", "--mu", "3"], ["--mu", "3"], ["--k1", "1.0"], ["--b", "0.5"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_ranker_flags_rejected_with_model(self, flags, model_file, capsys):
+        # the model keeps its own ranker: the flags would be ignored
+        argv = ["rank", "nacht", "--model", str(model_file), "--mode", "plain", "--k", "3"]
+        assert main(argv + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flags[0]} is not read with --model\n"
+
+    def test_shingler_flags_not_read_with_model(self, model_file, capsys):
+        argv = ["rank", "nacht", "--model", str(model_file)]
+        assert main(argv) == 0
+        ranked = capsys.readouterr().out
+        assert main(argv + ["--mode", "plain", "--k", "3"]) == 0
+        assert capsys.readouterr().out == ranked
 
     def test_requires_model_or_lexicon(self, capsys):
         assert main(["rank", "nuit"]) == 1

@@ -163,7 +163,11 @@ class TestCountSeq:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ConfigError):
-            ErrorModel(CONFIG, {("a", "b"): -5}, total_count=-5, distinct_edges=2)
+            ErrorModel(CONFIG, {("a", "b"): -5})
+
+    def test_totals_derived_from_counts(self):
+        model = ErrorModel(CONFIG, {("a", "b"): 3, (EMPTY_TOKEN, "c"): 2})
+        assert (model.total_count, model.distinct_edges) == (5, 3)
 
 
 class TestEdgeProb:

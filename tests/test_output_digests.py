@@ -34,6 +34,18 @@ CASES = {
         ["train", "--objective", "mrr"],
         "e2886c008f6b89330778b29893a04fc86910918e25507fe3520a71ef54e10dde",
     ),
+    "train-no-tune": (
+        ["train", "--no-tune"],
+        "327d2c03b1f40ca0b1ccba9a846b8a3969e3cdaeb7612919636bce7c4937cc80",
+    ),
+    "train-bm25-mrr": (
+        ["train", "--ranker", "bm25", "--objective", "mrr"],
+        "8304af12d244c6d23d4cc221ca58105b7010e7f26b841c9d6007c4aff2e9a54a",
+    ),
+    "train-xdice-one-end-mrr": (
+        ["train", "--ranker", "xdice", "--mode", "one-end", "--objective", "mrr"],
+        "6b66896f3bfec8b49ed8da011328fc1f1f221f29181fce556965dc94c1af621d",
+    ),
     "ablate": (
         ["ablate"],
         "5dfa0ae91fea84a7f694bf0ebfba55eb6e0c22fc494e9a6e498edbf9d08d84f1",
