@@ -35,6 +35,7 @@ from .evaluation import (
     BaselineSystem,
     LabeledPair,
     PipelineSystem,
+    ShingledPairs,
     ablation,
     eval_classification,
     eval_mrr,
@@ -76,6 +77,7 @@ __all__ = [
     "RankerParams",
     "ScoreConfig",
     "ShingleSet",
+    "ShingledPairs",
     "ShinglerConfig",
     "TrainingError",
     "ablation",

@@ -18,6 +18,7 @@ from .errors import CognateKitError, ConfigError, DataError, InvalidWordError, T
 from .evaluation import (
     DEFAULT_ABLATION_CELLS,
     PipelineSystem,
+    ShingledPairs,
     ablation,
     evaluate,
     fit_pipeline,
@@ -186,19 +187,12 @@ def _cmd_train(args) -> int:
     train_pairs, _ = split(pairs, args.seed)
     if not any(p.label for p in train_pairs):
         raise DataError("the training split contains no positive (cognate) pairs")
-    config = _shingler_config(args)
+    shingled = ShingledPairs(train_pairs, _shingler_config(args))
     fixed = _fixed_from_flags(args)
     threshold = fixed.pop("threshold", None)
-    resolved = tune(
-        train_pairs,
-        config,
-        args.ranker,
-        fixed=fixed,
-        folds=args.folds,
-        seed=args.seed,
-        objective=args.objective,
-    )
-    scorer = fit_pipeline(train_pairs, config, args.ranker, resolved, threshold)
+    resolved = tune(shingled, args.ranker, fixed=fixed, folds=args.folds, seed=args.seed,
+                    objective=args.objective)
+    scorer = fit_pipeline(shingled, args.ranker, resolved, threshold)
     hyperparameters = {key: resolved[key] for key in resolved}
     hyperparameters["threshold"] = scorer.config.threshold
     save_model(args.out, scorer, args.seed, hyperparameters)
@@ -279,16 +273,8 @@ def _cmd_eval(args) -> int:
         )
     else:
         fixed = _fixed_from_flags(args)
-        report = run_experiment(
-            pairs,
-            _shingler_config(args),
-            args.ranker,
-            use_error_model=True,
-            seed=seed,
-            folds=args.folds,
-            fixed=fixed,
-            extra_lexicon=extra,
-        )
+        report = run_experiment(pairs, _shingler_config(args), args.ranker, seed=seed,
+                                folds=args.folds, fixed=fixed, extra_lexicon=extra)
     print(format_report_table([report]))
     print(f"seed: {report.seed}")
     if args.out:
@@ -300,13 +286,8 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     pairs = load_dataset(args.dataset)
     extra = load_lexicon(args.lexicon) if args.lexicon else None
-    reports = ablation(
-        pairs,
-        DEFAULT_ABLATION_CELLS,
-        seed=args.seed,
-        folds=args.folds,
-        extra_lexicon=extra,
-    )
+    reports = ablation(pairs, DEFAULT_ABLATION_CELLS, seed=args.seed, folds=args.folds,
+                       extra_lexicon=extra)
     print(format_report_table(reports))
     print(f"seed: {args.seed}")
     if args.out:

@@ -10,10 +10,12 @@ top token is connected to every bottom token.  An edge such as
 Edge frequencies counted over known cognate pairs, with additive
 smoothing, estimate how probable each transformation is; the mean of
 the smoothed edge probabilities (raised to a strength exponent) scores
-how plausibly one word transforms into the other.  A model, trained or
-built per cross-validation fold, holds only its edge counts and settings:
-it derives the total count and the distinct edges plus one unseen class
-from the counts itself, so the two can never disagree.
+how plausibly one word transforms into the other.  Every model, trained
+on words, fitted on a training split or built per cross-validation fold,
+counts its graphs' edges with :func:`_edge_model`.  A model holds only
+its edge counts and settings: it derives the total count and the
+distinct edges plus one unseen class from the counts itself, so the two
+can never disagree.
 
 Every transformation score, whether from a trained :class:`ErrorModel`
 or from cross-validated tuning, goes through one kernel: the graph's
@@ -279,6 +281,16 @@ def model_from_dict(payload: dict) -> ErrorModel:
         raise DataError(f"malformed error-model document: {exc}") from exc
 
 
+def _edge_model(
+    config: ShinglerConfig, graphs: Iterable[Sequence], alpha: float = 1.0, power: float = 1.0
+) -> ErrorModel:
+    """A model counting every edge of ``graphs``, each an edge sequence, once per graph given."""
+    counts: Counter = Counter()
+    for edges in graphs:
+        counts.update(edges)
+    return ErrorModel(config, dict(counts), alpha, power)
+
+
 def train_error_model(
     pairs: Sequence,
     config: ShinglerConfig,
@@ -292,8 +304,5 @@ def train_error_model(
     """
     if not pairs:
         raise TrainingError("training requires at least one cognate pair")
-    counts: Counter = Counter()
-    for source, target in pairs:
-        graph = build_graph(shingle(source, config), shingle(target, config))
-        counts.update(graph.edges)
-    return ErrorModel(config, dict(counts), alpha, power)
+    graphs = (build_graph(shingle(s, config), shingle(t, config)).edges for s, t in pairs)
+    return _edge_model(config, graphs, alpha, power)

@@ -15,13 +15,15 @@ MRR cost: only the true target's rank is read.  ``eval_mrr`` asks the
 system for ``target_rank``, and the pipeline answers with the
 bound-ordered walk of :mod:`cognatekit.scorer`, never sorting.
 
-Tuning shingles each word of the training pairs and builds each
-cognate pair's graph edges once, before the first fold; every fold's
-index and error model read them.  It then runs fold by fold: each fold
-fits its error model, builds the rows its grid points read (sims per
-(mu, k1, b), transformation scores per (alpha, power)), scores every
-grid combination and is dropped, so one fold's rows are alive at a
-time.  Transformation scores come from count sequences, scored once per
+Training words are shingled, and cognate graphs built, once per run:
+:func:`run_experiment` and ``cognatekit train`` make one
+:class:`ShingledPairs` of the training split, which holds each distinct
+word's set and each distinct cognate's edges, and both tunes and both
+fits read it.  Test words are shingled when they are classified or
+ranked.  Tuning runs fold by fold: each fold fits its error model,
+builds the rows its grid points read (sims per (mu, k1, b),
+transformation scores per (alpha, power)), scores every grid
+combination and is dropped, so one fold's rows are alive at a time.  Transformation scores come from count sequences, scored once per
 distinct sequence and (alpha, power).  A combination that reads the
 same parameter values as an earlier one (weight 0 ignores mu/k1/b,
 weight 1 ignores alpha/power) is skipped, as it could only tie.  For
@@ -45,13 +47,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from .baselines import baseline_similarity
 from .errors import ConfigError, DataError, InvalidWordError, TrainingError
-from .error_model import ErrorModel, _count_seq, _mean_score, build_graph
+from .error_model import ErrorModel, _count_seq, _edge_model, _mean_score, build_graph
 from .ranking import (
     LexiconIndex,
     RankerParams,
@@ -64,6 +65,7 @@ from .ranking import (
 from .scorer import (
     CombinedScorer,
     _blend,
+    _check_sim_weight,
     _normalize,
     _walked_rank,
     learn_threshold,
@@ -116,6 +118,30 @@ def load_dataset(path, language_pair: str = "") -> list[LabeledPair]:
     if not pairs:
         raise DataError(f"{path}: dataset is empty")
     return pairs
+
+
+class ShingledPairs:
+    """Labeled pairs with each distinct word shingled and each distinct cognate graphed once.
+
+    ``sets`` maps every word of ``pairs`` to its shingle set under
+    ``config``, and ``edges`` each distinct cognate (source, target) to
+    its graph's edges.  :func:`tune` and :func:`fit_pipeline` read them.
+    """
+
+    def __init__(self, pairs: Sequence[LabeledPair], config: ShinglerConfig):
+        self.pairs = list(pairs)
+        self.config = config
+        words = dict.fromkeys(word for p in self.pairs for word in (p.source, p.target))
+        self.sets = {word: shingle(word, config) for word in words}
+        cognates = dict.fromkeys((p.source, p.target) for p in self.pairs if p.label)
+        self.edges = {(s, t): build_graph(self.sets[s], self.sets[t]).edges for s, t in cognates}
+
+    def error_model(
+        self, pairs: Sequence[LabeledPair], alpha: float = 1.0, power: float = 1.0
+    ) -> ErrorModel:
+        """The edges of the cognates among ``pairs``, counted once per row."""
+        graphs = (self.edges[p.source, p.target] for p in pairs if p.label)
+        return _edge_model(self.config, graphs, alpha, power)
 
 
 def _label_groups(pairs: Sequence[LabeledPair]) -> list[list[LabeledPair]]:
@@ -282,6 +308,8 @@ def _resolve_grids(
             if key not in merged:
                 raise ConfigError(f"unknown grid parameter {key!r}")
             merged[key] = list(values)
+    for weight in merged["sim_weight"]:
+        _check_sim_weight(weight)
     # Irrelevant dimensions collapse to their first value so the search
     # space only covers parameters the configuration can feel.
     if function != "dirichlet":
@@ -431,8 +459,7 @@ def _check_folds(folds: int) -> None:
 
 
 def tune(
-    pairs: Sequence[LabeledPair],
-    shingler_config: ShinglerConfig,
+    shingled: ShingledPairs,
     ranker_function: str,
     use_error_model: bool = True,
     fixed: Optional[dict] = None,
@@ -449,7 +476,7 @@ def tune(
     ``folds`` and ``objective`` are not read.
 
     ``objective`` is ``accuracy`` (classification) or ``mrr`` (ranking
-    the training targets).  ``folds`` must be at least 2 and ``pairs``
+    the training targets).  ``folds`` must be at least 2 and ``shingled``
     hold at least 2 pairs, so that no fold validates on its own training
     pairs.  Ties go to the earliest combination in grid order.  A
     combination whose scores provably equal an earlier one's (the same
@@ -467,6 +494,7 @@ def tune(
     if objective not in ("accuracy", "mrr"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
     _check_folds(folds)
+    pairs = shingled.pairs
     if len(pairs) < 2:
         raise TrainingError(f"cross-validation needs at least 2 training pairs, got {len(pairs)}")
     first: dict[tuple, dict] = {}
@@ -481,23 +509,14 @@ def tune(
     ]
     if use_error_model and not all(any(p.label for p in train) for train, _ in splits):
         raise TrainingError("a cross-validation fold has no positive training pairs")
-
-    # shingled and graphed once here, read by every fold
-    words = dict.fromkeys(word for p in pairs for word in (p.source, p.target))
-    sets = {word: shingle(word, shingler_config) for word in words}
-    positives = dict.fromkeys((p.source, p.target) for p in pairs if p.label and use_error_model)
-    edges = {(s, t): build_graph(sets[s], sets[t]).edges for s, t in positives}
+    sets = shingled.sets
     if objective == "mrr":
         lexicon = {sets[p.target].source_word: sets[p.target] for p in pairs}
-        lexicon_index = LexiconIndex(list(lexicon.values()), shingler_config)
+        lexicon_index = LexiconIndex(list(lexicon.values()), shingled.config)
 
     fold_scores: list[list[float]] = [[] for _ in combos]
     for train, val in splits:
-        counts: Counter = Counter()
-        for p in train:
-            if p.label and use_error_model:
-                counts.update(edges[p.source, p.target])
-        model = ErrorModel(shingler_config, dict(counts))
+        model = shingled.error_model(train if use_error_model else ())
         if objective == "accuracy":
             scores = _fold_accuracy(sets, model, ranker_function, train, val, combos)
         else:
@@ -546,25 +565,26 @@ def dataset_lexicon(
 
 
 def fit_pipeline(
-    train_pairs: Sequence[LabeledPair],
-    shingler_config: ShinglerConfig,
+    shingled: ShingledPairs,
     ranker_function: str,
     resolved: dict,
     threshold: Optional[float] = None,
 ) -> CombinedScorer:
-    """Train a scorer on ``train_pairs`` with resolved hyperparameters.
+    """Train a scorer on ``shingled``'s pairs with resolved hyperparameters.
 
     ``resolved`` holds sim_weight/power/alpha/mu/k1/b, as returned by
     :func:`tune`, tuned or pinned; the threshold is learned unless given.
-    The scorer indexes the shingle sets it makes of the training targets.
+    The error model counts the edges of every cognate row, so a repeated
+    row counts twice, and the scorer indexes the training targets' sets.
     """
+    if not any(p.label for p in shingled.pairs):
+        raise TrainingError("training requires at least one positive (cognate) pair")
+    sets = shingled.sets
     return train_scorer(
-        [(p.source, p.target, p.label) for p in train_pairs],
-        shingler_config,
+        [(sets[p.source], sets[p.target], p.label) for p in shingled.pairs],
+        shingled.error_model(shingled.pairs, resolved["alpha"], resolved["power"]),
         RankerParams(ranker_function, k1=resolved["k1"], b=resolved["b"], mu=resolved["mu"]),
         sim_weight=resolved["sim_weight"],
-        alpha=resolved["alpha"],
-        power=resolved["power"],
         threshold=threshold,
     )
 
@@ -621,30 +641,21 @@ def run_experiment(
     when nothing is left to search.  Without the error model the grids
     pin sim_weight to 1.
     """
-    train, _ = split(pairs, seed)
+    shingled = ShingledPairs(split(pairs, seed)[0], shingler_config)
     fixed = dict(fixed or {})
     threshold = fixed.pop("threshold", None)
 
     def resolve(objective: str) -> dict:
-        return tune(
-            train,
-            shingler_config,
-            ranker_function,
-            use_error_model=use_error_model,
-            fixed=fixed,
-            grids=grids,
-            folds=folds,
-            seed=seed,
-            objective=objective,
-        )
+        return tune(shingled, ranker_function, use_error_model=use_error_model, fixed=fixed,
+                    grids=grids, folds=folds, seed=seed, objective=objective)
 
     resolved_cls = resolve("accuracy")
-    classifier = fit_pipeline(train, shingler_config, ranker_function, resolved_cls, threshold)
+    classifier = fit_pipeline(shingled, ranker_function, resolved_cls, threshold)
     if resolved_cls.get("objective") == "fixed":
         resolved_rank, ranker = resolved_cls, classifier
     else:
         resolved_rank = resolve("mrr")
-        ranker = fit_pipeline(train, shingler_config, ranker_function, resolved_rank)
+        ranker = fit_pipeline(shingled, ranker_function, resolved_rank)
 
     def summarize(resolved):
         out = {key: resolved[key] for key in GRID_KEYS}
@@ -667,15 +678,8 @@ def run_experiment(
     label = f"{sizes}-gram {ends[shingler_config.mode]} {ranker_function}"
     if use_error_model:
         label += " + error model"
-    return evaluate(
-        PipelineSystem(classifier),
-        PipelineSystem(ranker),
-        pairs,
-        seed,
-        label,
-        hyperparameters,
-        extra_lexicon,
-    )
+    systems = PipelineSystem(classifier), PipelineSystem(ranker)
+    return evaluate(*systems, pairs, seed, label, hyperparameters, extra_lexicon)
 
 
 def run_baseline_experiment(
@@ -730,21 +734,12 @@ def ablation(
         for values in _resolve_grids(grids, cell.function, cell.use_error_model).values()
     ):
         _check_folds(folds)
-    reports = []
-    for cell in cells:
-        reports.append(
-            run_experiment(
-                pairs,
-                ShinglerConfig(cell.gram_sizes, cell.mode),
-                cell.function,
-                use_error_model=cell.use_error_model,
-                seed=seed,
-                grids=grids,
-                folds=folds,
-                extra_lexicon=extra_lexicon,
-            )
-        )
-    return reports
+    return [
+        run_experiment(pairs, ShinglerConfig(cell.gram_sizes, cell.mode), cell.function,
+                       use_error_model=cell.use_error_model, seed=seed, grids=grids,
+                       folds=folds, extra_lexicon=extra_lexicon)
+        for cell in cells
+    ]
 
 
 def format_report_table(reports: Sequence[EvalReport]) -> str:

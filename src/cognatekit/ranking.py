@@ -23,11 +23,12 @@ The index keeps postings: each token's document ids, in document order.
 One walk over the postings of the query's tokens scores a query against
 every document.  Each weighted score is a length term (Dirichlet's
 ``|Q| * ln(mu / (mu + |D|))``, else ``0.0``), computed once per distinct
-``|D|``, plus one weight per shared token; the set measures count shared
-tokens, and score once per (shared count, size).  Tokens are visited in
-query order, so each document takes its weights in the order :func:`sim`
-adds them, from the same start: the summation order is unchanged and the
-floats equal ``sim``'s.  xdice gets postings over extended bigram tokens
+``|D|``, plus one weight per shared token, computed once per query token
+(bm25's, which reads ``|D|``, once per token and distinct ``|D|``); the
+set measures count shared tokens, and score once per (shared count,
+size).  Tokens are visited in query order, so each document takes its
+weights in the order :func:`sim` adds them, from the same start: the
+summation order is unchanged and the floats equal ``sim``'s.  xdice gets postings over extended bigram tokens
 on its first query.
 
 The walk also yields the *hits*, the documents sharing a token with the
@@ -304,9 +305,14 @@ def _scored(query: ShingleSet, index: LexiconIndex, params: RankerParams):
             if ids is None:
                 continue
             hits.update(ids)
-            weight = {n: _term_weight(token, n, index, params) for n in start}
-            for i in ids:
-                raws[i] += weight[lens[i]]
+            if function == "bm25":  # the only weight that reads the document's size
+                weight = {n: _term_weight(token, n, index, params) for n in start}
+                for i in ids:
+                    raws[i] += weight[lens[i]]
+            else:
+                token_weight = _term_weight(token, 0, index, params)
+                for i in ids:
+                    raws[i] += token_weight
         return raws, hits, size_ids, start
     shared: Counter[int] = Counter()
     for token in tokens:

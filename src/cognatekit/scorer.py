@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .errors import ConfigError, TrainingError
-from .error_model import ErrorModel, train_error_model
+from .error_model import ErrorModel
 from .ranking import (
     LexiconIndex,
     RankerParams,
@@ -73,6 +73,12 @@ def _blend(weight: float, norms: Sequence[float], trans: Sequence[float]) -> Seq
     return [weight * n + rest * t for n, t in zip(norms, trans)]
 
 
+def _check_sim_weight(weight: float) -> None:
+    """Reject a blend weight outside [0, 1], NaN included."""
+    if not 0.0 <= weight <= 1.0:
+        raise ConfigError(f"similarity weight must be in [0, 1], got {weight}")
+
+
 @dataclass(frozen=True)
 class ScoreConfig:
     """Blend weight, ranking function, normalization mode, and threshold."""
@@ -83,8 +89,7 @@ class ScoreConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sim_weight <= 1.0:
-            raise ConfigError(f"similarity weight must be in [0, 1], got {self.sim_weight}")
+        _check_sim_weight(self.sim_weight)
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.normalization not in NORMALIZATION_MODES:
@@ -298,32 +303,26 @@ def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:
 
 
 def train_scorer(
-    pairs: Sequence[tuple[str, str, bool]],
-    shingler_config: ShinglerConfig,
+    sets: Sequence[tuple[ShingleSet, ShingleSet, bool]],
+    error_model: ErrorModel,
     ranker: RankerParams,
     sim_weight: float = 0.6,
-    alpha: float = 1.0,
-    power: float = 1.0,
     threshold: Optional[float] = None,
 ) -> CombinedScorer:
-    """Fit a classification-mode scorer on labeled (source, target, label) triples.
+    """Fit a classification-mode scorer on labeled (source set, target set, label) triples.
 
-    The transformation model is trained on the positive pairs only; the
-    similarity bounds come from raw sims of all training pairs against
-    an index over the training targets; the threshold, unless given, is
-    learned on the blended training scores of those same raw sims.
+    ``error_model`` is the trained transformation model, its shingler
+    config the sets'.  The similarity bounds come from raw sims of all
+    training pairs against an index over the training targets; the
+    threshold, unless given, is learned on the blended training scores
+    of those same raw sims.
     """
-    if not pairs:
+    _check_sim_weight(sim_weight)
+    if not sets:
         raise TrainingError("training requires at least one labeled pair")
-    positives = [(s, t) for s, t, label in pairs if label]
-    if not positives:
-        raise TrainingError("training requires at least one positive (cognate) pair")
-    error_model = train_error_model(positives, shingler_config, alpha, power)
-    sets = [
-        (shingle(s, shingler_config), shingle(t, shingler_config), label)
-        for s, t, label in pairs
-    ]
-    index = LexiconIndex([t for _, t, _ in sets], shingler_config)
+    if any(s.config != error_model.config or t.config != error_model.config for s, t, _ in sets):
+        raise ConfigError("shingle sets do not match the error model's shingler config")
+    index = LexiconIndex([t for _, t, _ in sets], error_model.config)
     raws = [sim(s, t, index, ranker) for s, t, _ in sets]
     sim_min, sim_max = min(raws), max(raws)
     if not sim_min < sim_max:

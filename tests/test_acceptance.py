@@ -34,13 +34,12 @@ from cognatekit import (
     shingle,
     sim,
     train_error_model,
-    train_scorer,
 )
 from cognatekit.error_model import EMPTY_TOKEN
 from cognatekit.evaluation import run_baseline_experiment, run_experiment
 from cognatekit.persistence import load_model, save_model
 
-from conftest import edge_prob, make_synthetic_pairs, random_word
+from conftest import edge_prob, make_synthetic_pairs, random_word, train_on_words
 
 TWO_END = ShinglerConfig((2,), "two_end")
 ONE_END = ShinglerConfig((2,), "one_end")
@@ -135,7 +134,7 @@ def fitted_scorer(seed):
             triples.append((w, w + "e", True))
         else:
             triples.append((w, random_word(rng, 3, 8), False))
-    return train_scorer(triples, TWO_END, RankerParams("dirichlet"))
+    return train_on_words(triples, TWO_END, RankerParams("dirichlet"))
 
 
 class TestCriterion3Properties:

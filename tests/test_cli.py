@@ -1,11 +1,19 @@
 """Command-line surface: outputs, exit codes, and file contracts."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+import cognatekit.cli as cli
 import cognatekit.evaluation as evaluation
 from cognatekit.cli import main
+from cognatekit.error_model import build_graph
+from cognatekit.evaluation import load_dataset, split
+from cognatekit.shingling import shingle
+
+from conftest import make_hard_synthetic_pairs
 
 
 @pytest.fixture
@@ -73,6 +81,36 @@ class TestTrainCommand:
         code = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "m.json"),
                      "--no-tune"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--objective", "mrr"], ["--no-tune"]],
+                             ids=["accuracy", "mrr", "no-tune"])
+    def test_shingles_each_word_and_graphs_each_cognate_once(self, flags, tmp_path, monkeypatch):
+        # the tune and the fit read one prepared split; counted at every module binding
+        calls = {"shingle": Counter(), "build_graph": Counter()}
+        keys = {"shingle": lambda word, config: word,
+                "build_graph": lambda s, t: (s.source_word, t.source_word)}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name][keys[name](*args)] += 1
+                return real(*args)
+            return counted
+
+        for real in (shingle, build_graph):
+            counted = counting(real.__name__, real)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("cognatekit") and vars(module).get(real.__name__) is real:
+                    monkeypatch.setattr(module, real.__name__, counted)
+        pairs = make_hard_synthetic_pairs(20, 20)
+        pairs += [p for p in pairs if p.label][:4] + [p for p in pairs if not p.label][:3]
+        dataset = tmp_path / "repeated.tsv"
+        dataset.write_text("".join(f"{p.source}\t{p.target}\t{int(p.label)}\n" for p in pairs))
+        train, _ = split(load_dataset(dataset), 42)
+        assert len(set(train)) < len(train)  # a repeated row is in the training split
+        out = tmp_path / "model.json"
+        assert main(["train", "--dataset", str(dataset), "--out", str(out)] + flags) == 0
+        assert calls["shingle"] == Counter({w: 1 for p in train for w in (p.source, p.target)})
+        assert calls["build_graph"] == Counter({(p.source, p.target): 1 for p in train if p.label})
 
 
 NAN = float("nan")
@@ -349,6 +387,24 @@ class TestExitCodes:
         assert code == 2
         assert "no positive training pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "2"])
+    @pytest.mark.parametrize("flags", [["train"], ["train", "--no-tune"], ["eval"]],
+                             ids=["train", "train-no-tune", "eval"])
+    def test_lambda_outside_unit_interval_is_usage_error(
+        self, flags, value, tmp_path, synthetic_dataset_file, monkeypatch, capsys
+    ):
+        # rejected before a fold is drawn or a scorer fitted
+        started = []
+        for module, name in ((evaluation, "stratified_folds"), (evaluation, "fit_pipeline"),
+                             (cli, "fit_pipeline")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kw: started.append(name))
+        out = tmp_path / "out.json"
+        argv = flags + ["--dataset", str(synthetic_dataset_file), "--out", str(out)]
+        assert main(argv + [f"--lambda={value}"]) == 1
+        assert f"similarity weight must be in [0, 1], got {float(value)}" in capsys.readouterr().err
+        assert started == []
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["shingle", "word", "--wat"]) == 1
 
@@ -372,7 +428,7 @@ class TestExitCodes:
         fit_pipeline = evaluation.fit_pipeline
 
         def counting_fit(*args, **kwargs):
-            fitted.append(args[2])
+            fitted.append(args[1])
             return fit_pipeline(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "fit_pipeline", counting_fit)

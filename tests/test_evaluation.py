@@ -17,6 +17,7 @@ from cognatekit import (
     DataError,
     LabeledPair,
     PipelineSystem,
+    ShingledPairs,
     ShinglerConfig,
     TrainingError,
     ablation,
@@ -30,6 +31,7 @@ from cognatekit import (
     run_experiment,
     shingle,
     split,
+    train_error_model,
     tune,
 )
 from cognatekit.baselines import BASELINE_METHODS, baseline_similarity
@@ -258,54 +260,61 @@ class TestTune:
         grids = {key: [value] for key, value in
                  (("sim_weight", 0.4), ("power", 2.0), ("alpha", 1.0),
                   ("mu", 5.0), ("k1", 1.2), ("b", 0.75))}
-        resolved = tune(synthetic_pairs, TWO_END, "dirichlet", grids=grids, seed=42)
+        resolved = tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", grids=grids, seed=42)
         assert resolved["sim_weight"] == 0.4
         assert resolved["power"] == 2.0
         assert resolved["mu"] == 5.0
 
     def test_deterministic_selection(self, synthetic_pairs):
-        a = tune(synthetic_pairs, TWO_END, "dirichlet", seed=42)
-        b = tune(synthetic_pairs, TWO_END, "dirichlet", seed=42)
+        a = tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", seed=42)
+        b = tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", seed=42)
         assert a == b
 
     def test_unknown_grid_key_rejected(self, synthetic_pairs):
         with pytest.raises(ConfigError):
-            tune(synthetic_pairs, TWO_END, "dirichlet", grids={"gamma": [1]})
+            tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", grids={"gamma": [1]})
         with pytest.raises(ConfigError, match="unknown hyperparameter 'threshold'"):
-            tune(synthetic_pairs, TWO_END, "dirichlet", fixed={"threshold": 0.5})
+            tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", fixed={"threshold": 0.5})
+
+    @pytest.mark.parametrize("weight", [2.0, -1.0, math.inf, math.nan])
+    def test_weight_outside_unit_interval_rejected(self, synthetic_pairs, weight):
+        shingled = ShingledPairs(synthetic_pairs, TWO_END)
+        with pytest.raises(ConfigError, match=r"similarity weight must be in \[0, 1\]"):
+            tune(shingled, "dirichlet", grids={"sim_weight": [weight, 0.5]})
+        with pytest.raises(ConfigError, match=r"similarity weight must be in \[0, 1\]"):
+            tune(shingled, "dirichlet", fixed={"sim_weight": weight}, folds=0)
 
     def test_empty_grid_rejected(self, synthetic_pairs):
         with pytest.raises(ConfigError):
-            tune(synthetic_pairs, TWO_END, "dirichlet", grids={"mu": []})
+            tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", grids={"mu": []})
 
     @pytest.mark.parametrize("folds", [1, 0, -3])
     def test_fewer_than_two_folds_rejected(self, synthetic_pairs, folds):
         # one fold would validate on its own training pairs
         with pytest.raises(ConfigError, match="at least 2 folds"):
-            tune(synthetic_pairs, TWO_END, "dirichlet", folds=folds)
+            tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", folds=folds)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_pairs_rejected(self, synthetic_pairs, n):
         with pytest.raises(TrainingError, match="at least 2 training pairs"):
-            tune(synthetic_pairs[:n], TWO_END, "dirichlet")
+            tune(ShingledPairs(synthetic_pairs[:n], TWO_END), "dirichlet")
 
     def test_two_pairs_give_two_folds(self, synthetic_pairs):
         pairs = [p for p in synthetic_pairs if p.label][:2]
         grids = {"sim_weight": [0.5], "mu": [1.0, 10.0]}
-        assert tune(pairs, TWO_END, "dirichlet", grids=grids, folds=5)["folds"] == 2
+        assert tune(ShingledPairs(pairs, TWO_END), "dirichlet", grids=grids, folds=5)["folds"] == 2
 
     def test_input_order_does_not_change_tuned_results(self, synthetic_pairs):
         grids = {"sim_weight": [0.0, 0.6, 1.0], "power": [1.0], "mu": [10.0]}
         shuffled = list(synthetic_pairs)
         random.Random(123).shuffle(shuffled)
-        a = tune(synthetic_pairs, TWO_END, "dirichlet", grids=grids, seed=42)
-        b = tune(shuffled, TWO_END, "dirichlet", grids=grids, seed=42)
+        a = tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", grids=grids, seed=42)
+        b = tune(ShingledPairs(shuffled, TWO_END), "dirichlet", grids=grids, seed=42)
         assert a == b
 
     def test_mrr_objective_runs(self, synthetic_pairs):
         resolved = tune(
-            synthetic_pairs[:40],
-            TWO_END,
+            ShingledPairs(synthetic_pairs[:40], TWO_END),
             "dirichlet",
             grids={"sim_weight": [0.5, 1.0], "power": [1.0], "mu": [10.0]},
             objective="mrr",
@@ -318,11 +327,11 @@ class TestTune:
         # recorded before the tuning caches shared the error-model kernel;
         # cv_score is compared exactly, so summation order is pinned too
         common = {"alpha": 1.0, "k1": 1.2, "b": 0.75, "folds": 5}
-        assert tune(synthetic_pairs, TWO_END, "dirichlet", objective="accuracy") == {
+        assert tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", objective="accuracy") == {
             **common, "sim_weight": 0.2, "power": 0.25, "mu": 1.0,
             "cv_score": 1.0, "objective": "accuracy",
         }
-        assert tune(synthetic_pairs, TWO_END, "dirichlet", objective="mrr") == {
+        assert tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", objective="mrr") == {
             **common, "sim_weight": 0.2, "power": 0.25, "mu": 5.0,
             "cv_score": 0.9333333333333333, "objective": "mrr",
         }
@@ -330,11 +339,11 @@ class TestTune:
     def test_golden_results_on_hard_pairs(self):
         pairs = make_hard_synthetic_pairs(40, 40)
         grids = {"k1": [0.5, 1.2], "b": [0.3, 0.75], "alpha": [0.5, 1.0]}
-        assert tune(pairs, TWO_END, "bm25", grids=grids, objective="accuracy") == {
+        assert tune(ShingledPairs(pairs, TWO_END), "bm25", grids=grids, objective="accuracy") == {
             "sim_weight": 0.2, "power": 1.0, "alpha": 0.5, "mu": 1.0, "k1": 0.5,
             "b": 0.3, "cv_score": 0.75, "objective": "accuracy", "folds": 5,
         }
-        assert tune(pairs, TWO_END, "bm25", grids=grids, objective="mrr") == {
+        assert tune(ShingledPairs(pairs, TWO_END), "bm25", grids=grids, objective="mrr") == {
             "sim_weight": 0.2, "power": 0.25, "alpha": 0.5, "mu": 1.0, "k1": 1.2,
             "b": 0.75, "cv_score": 0.9166666666666666, "objective": "mrr", "folds": 5,
         }
@@ -363,12 +372,13 @@ class TestTune:
         calls = self.recorded(monkeypatch, "_fold_accuracy")
         for function in RANKING_FUNCTIONS:
             calls.clear()
-            tune(pairs, TWO_END, function, grids=self.ORACLE_GRIDS)
+            tune(ShingledPairs(pairs, TWO_END), function, grids=self.ORACLE_GRIDS)
             assert len(calls) == 5
             for (_, _, _, train, val, combos), scores in calls:
                 assert len(scores) == len(combos) >= 17
                 for combo, score in zip(combos, scores):
-                    system = PipelineSystem(fit_pipeline(train, TWO_END, function, combo))
+                    scorer = fit_pipeline(ShingledPairs(train, TWO_END), function, combo)
+                    system = PipelineSystem(scorer)
                     assert score == eval_classification(system, val)
 
     @pytest.mark.parametrize("function", RANKING_FUNCTIONS)
@@ -377,7 +387,7 @@ class TestTune:
         # target_rank walks, and that of its full ranking of the lexicon
         pairs = make_hard_synthetic_pairs(20, 20)
         calls = self.recorded(monkeypatch, "_fold_mrr")
-        tune(pairs, TWO_END, function, grids=self.ORACLE_GRIDS, objective="mrr")
+        tune(ShingledPairs(pairs, TWO_END), function, grids=self.ORACLE_GRIDS, objective="mrr")
         folds = stratified_folds(pairs, 5, 42)
         assert len(calls) == len(folds) == 5
         for i, ((_, _, _, queries, index, combos), scores) in enumerate(calls):
@@ -385,7 +395,7 @@ class TestTune:
             train = [p for j, fold in enumerate(folds) if j != i for p in fold]
             assert len(scores) == len(combos) >= 17
             for combo, score in zip(combos, scores):
-                scorer = fit_pipeline(train, TWO_END, function, combo)
+                scorer = fit_pipeline(ShingledPairs(train, TWO_END), function, combo)
                 assert score == eval_mrr(PipelineSystem(scorer), queries, index.words)[0]
                 per_query = scorer.with_config(normalization="per_query_minmax")
                 total = 0.0
@@ -412,7 +422,8 @@ class TestTune:
             return real(*args)
 
         monkeypatch.setattr(evaluation, name, also_every_combo)
-        resolved = tune(pairs, TWO_END, "dirichlet", grids=grids, objective=objective)
+        shingled = ShingledPairs(pairs, TWO_END)
+        resolved = tune(shingled, "dirichlet", grids=grids, objective=objective)
         # 27 combos: weight 0 reads 3 powers, weight 1 reads 3 mus, 0.5 all 9
         assert [len(combos) for combos in scored] == [3 + 9 + 3] * 5
         folds = [scores for scores in every_scores if scores is not None]
@@ -437,7 +448,7 @@ class TestTune:
         pairs = make_hard_synthetic_pairs(1, 9)  # the fold validating the cognate trains on none
         for objective in ("accuracy", "mrr"):
             with pytest.raises(TrainingError, match="no positive training pairs"):
-                tune(pairs, TWO_END, "dirichlet", objective=objective)
+                tune(ShingledPairs(pairs, TWO_END), "dirichlet", objective=objective)
         assert calls == []
 
     def test_walked_rank_equals_full_row_on_heavy_ties(self):
@@ -480,7 +491,8 @@ class TestTune:
         built = self.counted_indexes(monkeypatch)
         pairs = make_hard_synthetic_pairs(20, 20)
         pairs += pairs[:3]  # a repeated target is one lexicon word
-        tune(pairs, TWO_END, "dirichlet", grids={"sim_weight": [0.0, 0.5, 1.0]}, objective="mrr")
+        grids = {"sim_weight": [0.0, 0.5, 1.0]}
+        tune(ShingledPairs(pairs, TWO_END), "dirichlet", grids=grids, objective="mrr")
         assert built == [len(set(p.target for p in pairs))]  # the lexicon's alone
 
     def test_accuracy_tune_shingles_each_word_once(self, monkeypatch):
@@ -494,30 +506,31 @@ class TestTune:
             monkeypatch.setattr(f"cognatekit.{module}.shingle", counting_shingle)
         pairs = make_hard_synthetic_pairs(20, 20)
         pairs += pairs[:5]  # a repeated pair is shingled once too
-        tune(pairs, TWO_END, "dirichlet", grids={"sim_weight": [0.0, 0.5, 1.0]})
+        tune(ShingledPairs(pairs, TWO_END), "dirichlet", grids={"sim_weight": [0.0, 0.5, 1.0]})
         assert calls == Counter({word: 1 for p in pairs for word in (p.source, p.target)})
 
     def test_every_grid_pinned_returns_the_pinned_values(self, synthetic_pairs, monkeypatch):
         built = self.counted_indexes(monkeypatch)
         fixed = {"sim_weight": 0.4, "power": 2.0, "alpha": 0.5, "mu": 5.0, "k1": 1.0, "b": 0.5}
         for objective in ("accuracy", "mrr", "unread"):
-            resolved = tune(synthetic_pairs, TWO_END, "dirichlet", fixed=fixed, folds=0,
-                            objective=objective)
+            resolved = tune(ShingledPairs(synthetic_pairs, TWO_END), "dirichlet", fixed=fixed,
+                            folds=0, objective=objective)
             assert resolved == {**fixed, "objective": "fixed"}
         assert built == []
 
     def test_pinned_value_overrides_its_grid(self, synthetic_pairs):
         grids = {"sim_weight": [0.0, 1.0], "mu": [1.0, 50.0], "power": [1.0]}
-        resolved = tune(synthetic_pairs, TWO_END, "dirichlet", fixed={"mu": 7.0}, grids=grids)
+        shingled = ShingledPairs(synthetic_pairs, TWO_END)
+        resolved = tune(shingled, "dirichlet", fixed={"mu": 7.0}, grids=grids)
         assert resolved["mu"] == 7.0
         assert resolved["objective"] == "accuracy"
-        resolved = tune(synthetic_pairs, TWO_END, "dirichlet", fixed={"sim_weight": 0.5, "mu": 7.0},
+        resolved = tune(shingled, "dirichlet", fixed={"sim_weight": 0.5, "mu": 7.0},
                         grids=grids, folds=0)
         assert resolved["objective"] == "fixed"
         assert (resolved["sim_weight"], resolved["mu"]) == (0.5, 7.0)
 
     def test_irrelevant_dimensions_collapse(self, synthetic_pairs):
-        resolved = tune(synthetic_pairs, TWO_END, "jaccard", use_error_model=False)
+        resolved = tune(ShingledPairs(synthetic_pairs, TWO_END), "jaccard", use_error_model=False)
         # nothing left to search: sim-only jaccard has no free parameters
         assert resolved["objective"] == "fixed"
         assert resolved["sim_weight"] == 1.0
@@ -572,7 +585,7 @@ class TestExperiments:
         report = run_experiment(synthetic_pairs, TWO_END, "dirichlet", seed=42)
         resolved = report.hyperparameters["classification"]
         train, test = split(synthetic_pairs, seed=42)
-        system = PipelineSystem(fit_pipeline(train, TWO_END, "dirichlet", resolved))
+        system = PipelineSystem(fit_pipeline(ShingledPairs(train, TWO_END), "dirichlet", resolved))
         assert system.scorer.config.threshold == report.hyperparameters["threshold"]
         assert eval_classification(system, test) == report.accuracy
 
@@ -639,6 +652,21 @@ class TestBaselineSystem:
             BaselineSystem("metaphone", synthetic_pairs)
 
 
+class TestFitPipeline:
+    def test_counts_edges_as_train_error_model(self):
+        # per row, not per distinct pair: a repeated cognate counts twice
+        pairs = make_hard_synthetic_pairs(20, 20)
+        pairs += [p for p in pairs if p.label][:3] + [p for p in pairs if not p.label][:2]
+        resolved = {"sim_weight": 0.4, "alpha": 0.5, "power": 2.0,
+                    "mu": 10.0, "k1": 1.2, "b": 0.75}
+        fitted = fit_pipeline(ShingledPairs(pairs, TWO_END), "dirichlet", resolved).error_model
+        cognates = [(p.source, p.target) for p in pairs if p.label]
+        trained = train_error_model(cognates, TWO_END, alpha=0.5, power=2.0)
+        assert fitted.edge_counts == trained.edge_counts
+        assert fitted == trained
+        assert trained != train_error_model(list(dict.fromkeys(cognates)), TWO_END, 0.5, 2.0)
+
+
 class TestTargetRank:
     """A system's ``target_rank`` against the target's position in its full ``rank`` list."""
 
@@ -666,7 +694,7 @@ class TestTargetRank:
     def pipeline(pairs, sim_weight, function="dirichlet"):
         resolved = {"sim_weight": sim_weight, "alpha": 1.0, "power": 1.0,
                     "mu": 10.0, "k1": 1.2, "b": 0.75}
-        return PipelineSystem(fit_pipeline(pairs, TWO_END, function, resolved))
+        return PipelineSystem(fit_pipeline(ShingledPairs(pairs, TWO_END), function, resolved))
 
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
     def test_pipeline_system(self, synthetic_pairs, sim_weight):

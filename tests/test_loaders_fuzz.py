@@ -21,10 +21,11 @@ from cognatekit import (  # noqa: E402
     load_dataset,
     load_lexicon,
     load_model,
-    train_scorer,
 )
 from cognatekit.cli import main  # noqa: E402
 from cognatekit.persistence import canonical_json, scorer_to_dict  # noqa: E402
+
+from conftest import train_on_words  # noqa: E402
 
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
@@ -81,7 +82,7 @@ class TestLexiconLoader:
 def trained_model_document() -> dict:
     pairs = [("mesia", "messia", True), ("noche", "nuit", True), ("casa", "zzzz", False),
              ("rosa", "rose", True), ("lupo", "qqq", False)]
-    scorer = train_scorer(pairs, ShinglerConfig((2,), "two_end"), RankerParams("dirichlet"))
+    scorer = train_on_words(pairs, ShinglerConfig((2,), "two_end"), RankerParams("dirichlet"))
     return json.loads(canonical_json(scorer_to_dict(scorer, 42)))
 
 

@@ -6,67 +6,93 @@ behind them is refactored and across Python versions (3.12 changed
 with a digest recorded once.  ``eval``, ``train`` and ``ablate`` print
 temporary paths, so their output file is hashed; ``rank`` and
 ``classify`` print only results, so their stdout and exit code are.
+
+Every case also runs without pytest, on any interpreter::
+
+    PYTHONPATH=src python tests/test_output_digests.py
+
+which exits 1 naming the first case that does not match.
 """
 
 import hashlib
-
-import pytest
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from cognatekit.cli import main
 from cognatekit.ranking import RANKING_FUNCTIONS
 
-from conftest import make_hard_synthetic_pairs
+from synthetic import make_hard_synthetic_pairs
 
+PAIRS = make_hard_synthetic_pairs(40, 40)
+DATASETS = {
+    "hard": PAIRS,
+    # 5 cognate and 3 non-cognate rows appear twice
+    "repeated": PAIRS + [p for p in PAIRS if p.label][:5] + [p for p in PAIRS if not p.label][:3],
+}
+
+# output-file cases: the dataset read, the arguments, the digest of --out
 CASES = {
     "eval": (
+        "hard",
         ["eval"],
         "ad471a916a9af7a80a09f3827022e8aff14755c833ae8e2fbbe4d581559175f2",
     ),
     "eval-bm25-one-end": (
+        "hard",
         ["eval", "--ranker", "bm25", "--mode", "one-end", "--k", "2,3"],
         "3a6f36a042b9d5ddd082655141e194ae350619656c026066e98581fea84a7b3d",
     ),
     "train": (
+        "hard",
         ["train"],
         "2cf3e9e1078bfd4d17dea5d8e02afba6b90e9889902016dead946d358dad5e98",
     ),
     "train-mrr": (
+        "hard",
         ["train", "--objective", "mrr"],
         "e2886c008f6b89330778b29893a04fc86910918e25507fe3520a71ef54e10dde",
     ),
     "train-no-tune": (
+        "hard",
         ["train", "--no-tune"],
         "327d2c03b1f40ca0b1ccba9a846b8a3969e3cdaeb7612919636bce7c4937cc80",
     ),
     "train-bm25-mrr": (
+        "hard",
         ["train", "--ranker", "bm25", "--objective", "mrr"],
         "8304af12d244c6d23d4cc221ca58105b7010e7f26b841c9d6007c4aff2e9a54a",
     ),
     "train-xdice-one-end-mrr": (
+        "hard",
         ["train", "--ranker", "xdice", "--mode", "one-end", "--objective", "mrr"],
         "6b66896f3bfec8b49ed8da011328fc1f1f221f29181fce556965dc94c1af621d",
     ),
     "ablate": (
+        "hard",
         ["ablate"],
         "5dfa0ae91fea84a7f694bf0ebfba55eb6e0c22fc494e9a6e498edbf9d08d84f1",
+    ),
+    "train-plain-k23": (
+        "hard",
+        ["train", "--mode", "plain", "--k", "2,3"],
+        "a6e07382d4d95d32964eca560d9d04a1023338e1f04ac2fa29e082eb23464cc8",
+    ),
+    "train-repeated": (
+        "repeated",
+        ["train"],
+        "6d439ad0dad8de0a7fc71312113a513fe7dcf9be657bd5c4ebe31179acc6a9cf",
+    ),
+    "eval-repeated": (
+        "repeated",
+        ["eval"],
+        "7bb609457ea57de6097770f27eb5294da01ae4bd29333da60fa6800c7626eb72",
     ),
 }
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    path = tmp_path_factory.mktemp("digests") / "hard.tsv"
-    lines = [f"{p.source}\t{p.target}\t{int(p.label)}" for p in make_hard_synthetic_pairs(40, 40)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-@pytest.mark.parametrize("name", list(CASES))
-def test_output_file_digest(name, dataset, tmp_path):
-    argv, digest = CASES[name]
-    out = tmp_path / "out.json"
-    assert main(argv + ["--dataset", str(dataset), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # rank over the dataset's words plus 20 repeated targets, for its first source
@@ -122,71 +148,173 @@ MODEL_CASES = {
     "mrr-classify-non-cognate": "444551662f53fd768803251b2bef3b210f9867ba1496ff9264fc5cb5190992c5",
 }
 
-PAIRS = make_hard_synthetic_pairs(40, 40)
 QUERY = PAIRS[0].source
 COGNATE = next(p for p in PAIRS if p.label)
 NON_COGNATE = next(p for p in PAIRS if not p.label)
+# train --folds 0: folds are read only when something is tuned
+ZERO_FOLDS_CASES = {"no-tune": (["--no-tune"], 0), "tune": ([], 1)}
 
 
-def stdout_digest(argv, capsys) -> str:
+class Workspace:
+    """The datasets, the lexicon and the trained models the cases read, kept under ``root``."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.datasets = {}
+        for name, pairs in DATASETS.items():
+            path = self.datasets[name] = root / f"{name}.tsv"
+            lines = [f"{p.source}\t{p.target}\t{int(p.label)}" for p in pairs]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        words = [p.source for p in PAIRS] + [p.target for p in PAIRS]
+        words += [p.target for p in PAIRS[:20]]  # duplicates are distinct documents
+        self.lexicon = root / "lexicon.txt"
+        self.lexicon.write_text("\n".join(words) + "\n", encoding="utf-8")
+        self._models: dict[str, Path] = {}
+
+    def model(self, name: str) -> Path:
+        """The model ``train`` writes with ``MODELS[name]``'s flags, trained on first use."""
+        if name not in self._models:
+            path = self.root / f"{name}.json"
+            argv = ["train", "--dataset", str(self.datasets["hard"]), "--out", str(path)]
+            code, _ = run(argv + MODELS[name])
+            if code != 0:
+                raise RuntimeError(f"training the {name} model exited {code}")
+            self._models[name] = path
+        return self._models[name]
+
+
+def run(argv) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI run; stderr is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def stdout_digest(argv) -> str:
     """sha256 of the exit code and stdout of one CLI run."""
-    capsys.readouterr()
-    code = main(argv)
-    return hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+    code, out = run(argv)
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+def file_digest(ws: Workspace, name: str) -> str:
+    """sha256 of the file ``CASES[name]`` writes with ``--out``, or its exit code if not 0."""
+    dataset, argv, _ = CASES[name]
+    out = ws.root / f"{name}.out"
+    code, _ = run(argv + ["--dataset", str(ws.datasets[dataset]), "--out", str(out)])
+    if code != 0:
+        return f"exit code {code}"
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def rank_name(function: str, top) -> str:
+    return f"rank-{function}" + ("" if top is None else f"-k{top}")
+
+
+def rank_model_name(model: str, with_lexicon: bool, top) -> str:
+    return f"{model}-rank" + ("-lexicon" if with_lexicon else "") + ("" if top is None else "-k10")
+
+
+def classify_name(model: str, pair) -> str:
+    return f"{model}-classify-" + ("cognate" if pair.label else "non-cognate")
+
+
+def rank_digest(ws: Workspace, function: str, top) -> str:
+    argv = ["rank", QUERY, "--lexicon", str(ws.lexicon), "--ranker", function]
+    if top is not None:
+        argv += ["-k", str(top)]
+    return stdout_digest(argv)
+
+
+def rank_model_digest(ws: Workspace, model: str, with_lexicon: bool, top) -> str:
+    argv = ["rank", QUERY, "--model", str(ws.model(model))]
+    if with_lexicon:
+        argv += ["--lexicon", str(ws.lexicon)]
+    if top is not None:
+        argv += ["-k", str(top)]
+    return stdout_digest(argv)
+
+
+def classify_digest(ws: Workspace, model: str, pair) -> str:
+    return stdout_digest(["classify", pair.source, pair.target, "--model", str(ws.model(model))])
+
+
+def zero_folds_code(ws: Workspace, name: str) -> int:
+    flags, _ = ZERO_FOLDS_CASES[name]
+    out = ws.root / "zero-folds.json"
+    argv = ["train", "--dataset", str(ws.datasets["hard"]), "--out", str(out), "--folds", "0"]
+    return run(argv + flags)[0]
+
+
+def checks(ws: Workspace):
+    """(name, expected, actual) for every case, each run when it is reached."""
+    for name, (_, _, digest) in CASES.items():
+        yield name, digest, file_digest(ws, name)
+    for function in RANKING_FUNCTIONS:
+        for top in (None, 1, 10):
+            name = rank_name(function, top)
+            yield name, RANK_CASES[name], rank_digest(ws, function, top)
+    for model in MODELS:
+        for with_lexicon in (False, True):
+            for top in (None, 10):
+                name = rank_model_name(model, with_lexicon, top)
+                yield name, MODEL_CASES[name], rank_model_digest(ws, model, with_lexicon, top)
+        for pair in (COGNATE, NON_COGNATE):
+            name = classify_name(model, pair)
+            yield name, MODEL_CASES[name], classify_digest(ws, model, pair)
+    for name, (_, code) in ZERO_FOLDS_CASES.items():
+        yield f"train-zero-folds-{name}", code, zero_folds_code(ws, name)
+
+
+def check_all() -> int:
+    """Run every case; 1 with the first mismatch on stderr, else 0."""
+    with tempfile.TemporaryDirectory() as root:
+        count = 0
+        for name, expected, got in checks(Workspace(Path(root))):
+            if got != expected:
+                print(f"{name}: expected {expected}, got {got}", file=sys.stderr)
+                return 1
+            count += 1
+    print(f"all {count} cases match")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(check_all())
+
+import pytest  # noqa: E402  only the pytest tests below need it
 
 
 @pytest.fixture(scope="module")
-def lexicon(tmp_path_factory):
-    words = [p.source for p in PAIRS] + [p.target for p in PAIRS]
-    words += [p.target for p in PAIRS[:20]]  # duplicates are distinct documents
-    path = tmp_path_factory.mktemp("digests") / "lexicon.txt"
-    path.write_text("\n".join(words) + "\n", encoding="utf-8")
-    return path
+def workspace(tmp_path_factory):
+    return Workspace(tmp_path_factory.mktemp("digests"))
 
 
-@pytest.fixture(scope="module")
-def models(dataset, tmp_path_factory):
-    folder = tmp_path_factory.mktemp("models")
-    paths = {}
-    for name, flags in MODELS.items():
-        paths[name] = folder / f"{name}.json"
-        assert main(["train", "--dataset", str(dataset), "--out", str(paths[name])] + flags) == 0
-    return paths
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_file_digest(name, workspace):
+    assert file_digest(workspace, name) == CASES[name][2]
 
 
 @pytest.mark.parametrize("function", RANKING_FUNCTIONS)
 @pytest.mark.parametrize("top", [None, 1, 10])
-def test_rank_digest(function, top, lexicon, capsys):
-    name = f"rank-{function}" + ("" if top is None else f"-k{top}")
-    argv = ["rank", QUERY, "--lexicon", str(lexicon), "--ranker", function]
-    if top is not None:
-        argv += ["-k", str(top)]
-    assert stdout_digest(argv, capsys) == RANK_CASES[name]
+def test_rank_digest(function, top, workspace):
+    assert rank_digest(workspace, function, top) == RANK_CASES[rank_name(function, top)]
 
 
 @pytest.mark.parametrize("model", list(MODELS))
 @pytest.mark.parametrize("with_lexicon", [False, True])
 @pytest.mark.parametrize("top", [None, 10])
-def test_rank_model_digest(model, with_lexicon, top, models, lexicon, capsys):
-    name = f"{model}-rank" + ("-lexicon" if with_lexicon else "") + ("" if top is None else "-k10")
-    argv = ["rank", QUERY, "--model", str(models[model])]
-    if with_lexicon:
-        argv += ["--lexicon", str(lexicon)]
-    if top is not None:
-        argv += ["-k", str(top)]
-    assert stdout_digest(argv, capsys) == MODEL_CASES[name]
+def test_rank_model_digest(model, with_lexicon, top, workspace):
+    name = rank_model_name(model, with_lexicon, top)
+    assert rank_model_digest(workspace, model, with_lexicon, top) == MODEL_CASES[name]
 
 
 @pytest.mark.parametrize("model", list(MODELS))
 @pytest.mark.parametrize("pair", [COGNATE, NON_COGNATE], ids=["cognate", "non-cognate"])
-def test_classify_digest(model, pair, models, capsys):
-    name = f"{model}-classify-" + ("cognate" if pair.label else "non-cognate")
-    argv = ["classify", pair.source, pair.target, "--model", str(models[model])]
-    assert stdout_digest(argv, capsys) == MODEL_CASES[name]
+def test_classify_digest(model, pair, workspace):
+    assert classify_digest(workspace, model, pair) == MODEL_CASES[classify_name(model, pair)]
 
 
-@pytest.mark.parametrize("flags, code", [(["--no-tune"], 0), ([], 1)], ids=["no-tune", "tune"])
-def test_train_with_zero_folds_exit_code(flags, code, dataset, tmp_path):
-    # folds are read only when something is tuned
-    argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.json"), "--folds", "0"]
-    assert main(argv + flags) == code
+@pytest.mark.parametrize("name", list(ZERO_FOLDS_CASES))
+def test_train_with_zero_folds_exit_code(name, workspace):
+    assert zero_folds_code(workspace, name) == ZERO_FOLDS_CASES[name][1]

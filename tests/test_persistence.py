@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cognatekit import DataError, RankerParams, ShinglerConfig, train_scorer
+from cognatekit import DataError, RankerParams, ShinglerConfig
 from cognatekit.persistence import (
     canonical_json,
     load_model,
@@ -14,7 +14,7 @@ from cognatekit.persistence import (
     scorer_to_dict,
 )
 
-from conftest import random_word
+from conftest import random_word, train_on_words
 
 TWO_END = ShinglerConfig((2,), "two_end")
 
@@ -28,7 +28,7 @@ def make_scorer(seed=51):
             triples.append((w, w + "e", True))
         else:
             triples.append((w, random_word(rng, 3, 8), False))
-    return train_scorer(
+    return train_on_words(
         triples, TWO_END, RankerParams("dirichlet", mu=5.0), sim_weight=0.4, power=2.0
     )
 

@@ -10,11 +10,14 @@ import cognatekit.scorer as scorer_module
 from cognatekit import (
     CombinedScorer,
     ConfigError,
+    LabeledPair,
     RankerParams,
     ScoreConfig,
+    ShingledPairs,
     ShinglerConfig,
     TrainingError,
     build_index,
+    fit_pipeline,
     learn_threshold,
     rank,
     shingle,
@@ -26,7 +29,7 @@ from cognatekit.error_model import ErrorModel
 from cognatekit.ranking import RANKING_FUNCTIONS, sim_all
 from cognatekit.scorer import NORMALIZATION_MODES, _blend, _normalize
 
-from conftest import random_word
+from conftest import random_word, train_on_words
 
 TWO_END = ShinglerConfig((2,), "two_end")
 
@@ -57,7 +60,7 @@ def fitted_scorer(rng_seed=31, n=40, function="dirichlet", **kwargs):
             triples.append((w, w + "e", True))
         else:
             triples.append((w, random_word(rng, 3, 8), False))
-    return train_scorer(triples, TWO_END, RankerParams(function), **kwargs), triples
+    return train_on_words(triples, TWO_END, RankerParams(function), **kwargs), triples
 
 
 class TestCombinedScore:
@@ -423,14 +426,27 @@ class TestTrainScorer:
         assert correct / len(triples) >= 0.9
 
     def test_requires_positive_pairs(self):
-        with pytest.raises(TrainingError):
-            train_scorer(
-                [("a", "b", False)], TWO_END, RankerParams("dice")
-            )
+        # the fit counts the cognates' edges; train_scorer takes a trained model
+        resolved = {"sim_weight": 0.6, "alpha": 1.0, "power": 1.0, "mu": 10.0, "k1": 1.2,
+                    "b": 0.75}
+        pairs = [LabeledPair("a", "b", False), LabeledPair("c", "d", False)]
+        shingled = ShingledPairs(pairs, TWO_END)
+        with pytest.raises(TrainingError, match="positive"):
+            fit_pipeline(shingled, "dice", resolved)
+
+    def test_sets_must_match_the_error_model_config(self):
+        model = train_error_model([("mesia", "messia")], TWO_END)
+        plain = ShinglerConfig((2,), "plain")
+        sets = [(shingle(s, plain), shingle(t, plain), label)
+                for s, t, label in [("mesia", "messia", True), ("casa", "lupo", False)]]
+        for weight in (0.0, 1.0):
+            with pytest.raises(ConfigError, match="error model's shingler config"):
+                train_scorer(sets, model, RankerParams("dice"), sim_weight=weight)
 
     def test_requires_pairs(self):
+        model = train_error_model([("mesia", "messia")], TWO_END)
         with pytest.raises(TrainingError):
-            train_scorer([], TWO_END, RankerParams("dice"))
+            train_scorer([], model, RankerParams("dice"))
 
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
     def test_threshold_learned_from_the_scoring_formula(self, sim_weight):
