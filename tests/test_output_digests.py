@@ -90,6 +90,36 @@ CASES = {
         ["eval"],
         "7bb609457ea57de6097770f27eb5294da01ae4bd29333da60fa6800c7626eb72",
     ),
+    "train-bm25": (
+        "hard",
+        ["train", "--ranker", "bm25"],
+        "943176eff10fc760e87068b85867c02648cb17632146038eaf3f414bfe32f0c2",
+    ),
+    "train-tfidf": (
+        "hard",
+        ["train", "--ranker", "tfidf"],
+        "4180d0ce2571b08702c27a933d1067c7d0a5a43a71dafe9324e57ad6bded347d",
+    ),
+    "eval-method-edit_distance": (
+        "hard",
+        ["eval", "--method", "edit_distance"],
+        "42ee9ed1f0d0c3a031fcc843437fe8112a262d997b3c53fa0a349db8999031ed",
+    ),
+    "eval-method-normalized_edit_similarity": (
+        "hard",
+        ["eval", "--method", "normalized_edit_similarity"],
+        "c20e788995203a6f96732b1751fa264381318557fdeb655bf7577736659d6da3",
+    ),
+    "eval-method-lcsr": (
+        "hard",
+        ["eval", "--method", "lcsr"],
+        "75aa6e5cdc2904418ba7faea1975f329e64f38ae8913e61475408bd7099f7504",
+    ),
+    "eval-method-xdice": (
+        "hard",
+        ["eval", "--method", "xdice"],
+        "2273e30fc2b180ba7709e565b52e394076e762831baeff1824f0d78c03c4daeb",
+    ),
 }
 
 
