@@ -31,6 +31,7 @@ from .evaluation import (
 )
 from .persistence import load_model, save_model, save_report
 from .ranking import RANKING_FUNCTIONS, RankerParams, build_index, load_lexicon, rank
+from .scorer import _check_threshold
 from .shingling import ShinglerConfig, shingle
 
 _CLI_MODES = {"plain": "plain", "one-end": "one_end", "two-end": "two_end"}
@@ -109,6 +110,7 @@ def _fixed_from_flags(args) -> dict:
         for key, default in _DEFAULTS.items():
             fixed.setdefault(key, default)
     if args.threshold is not None:
+        _check_threshold(args.threshold)
         fixed["threshold"] = args.threshold
     return fixed
 
@@ -183,13 +185,13 @@ def _cmd_shingle(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    fixed = _fixed_from_flags(args)
+    threshold = fixed.pop("threshold", None)
     pairs = load_dataset(args.dataset)
     train_pairs, _ = split(pairs, args.seed)
     if not any(p.label for p in train_pairs):
         raise DataError("the training split contains no positive (cognate) pairs")
     shingled = ShingledPairs(train_pairs, _shingler_config(args))
-    fixed = _fixed_from_flags(args)
-    threshold = fixed.pop("threshold", None)
     resolved = tune(shingled, args.ranker, fixed=fixed, folds=args.folds, seed=args.seed,
                     objective=args.objective)
     scorer = fit_pipeline(shingled, args.ranker, resolved, threshold)
@@ -252,6 +254,7 @@ def _cmd_eval(args) -> int:
         if pinned:
             option = "--model" if args.model is not None else "--method"
             raise _UsageError(f"{pinned[0]} is not read with {option}")
+    fixed = _fixed_from_flags(args)
     pairs = load_dataset(args.dataset)
     extra = load_lexicon(args.lexicon) if args.lexicon else None
     seed = 42 if args.seed is None else args.seed
@@ -272,7 +275,6 @@ def _cmd_eval(args) -> int:
             system, system, pairs, seed, f"model:{args.model}", hyperparameters, extra
         )
     else:
-        fixed = _fixed_from_flags(args)
         report = run_experiment(pairs, _shingler_config(args), args.ranker, seed=seed,
                                 folds=args.folds, fixed=fixed, extra_lexicon=extra)
     print(format_report_table([report]))

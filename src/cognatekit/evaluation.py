@@ -57,8 +57,8 @@ from .ranking import (
     LexiconIndex,
     RankerParams,
     _read_lines,
+    _sims,
     build_index,
-    sim,
     sim_all,
     target_rank,
 )
@@ -66,6 +66,7 @@ from .scorer import (
     CombinedScorer,
     _blend,
     _check_sim_weight,
+    _check_threshold,
     _normalize,
     _walked_rank,
     learn_threshold,
@@ -372,13 +373,11 @@ def _fold_accuracy(sets, model, function, train, val, combos) -> list[float]:
     keys = _sim_keys(combos, lambda weight: weight > 0.0)
     if keys:
         index = LexiconIndex([sets[p.target] for p in train], model.config)
+        both = [(sets[p.source], sets[p.target]) for part in (train, val) for p in part]
     norms = {}
     for mu, k1, b in keys:
-        params = RankerParams(function, k1=k1, b=b, mu=mu)
-        tr_raw, val_raw = (
-            [sim(sets[p.source], sets[p.target], index, params) for p in part]
-            for part in (train, val)
-        )
+        raws = _sims(both, index, RankerParams(function, k1=k1, b=b, mu=mu))
+        tr_raw, val_raw = raws[:len(train)], raws[len(train):]
         lo, hi = min(tr_raw), max(tr_raw)
         norms[mu, k1, b] = (_normalize(tr_raw, lo, hi), _normalize(val_raw, lo, hi))
     trans = _trans_rows(
@@ -641,9 +640,11 @@ def run_experiment(
     when nothing is left to search.  Without the error model the grids
     pin sim_weight to 1.
     """
-    shingled = ShingledPairs(split(pairs, seed)[0], shingler_config)
     fixed = dict(fixed or {})
     threshold = fixed.pop("threshold", None)
+    if threshold is not None:
+        _check_threshold(threshold)
+    shingled = ShingledPairs(split(pairs, seed)[0], shingler_config)
 
     def resolve(objective: str) -> dict:
         return tune(shingled, ranker_function, use_error_model=use_error_model, fixed=fixed,

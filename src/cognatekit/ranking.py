@@ -227,22 +227,51 @@ def sim(
     params: RankerParams,
 ) -> float:
     """Raw similarity of a query shingle set against one document."""
+    return _sims([(query, doc)], index, params)[0]
+
+
+def _sims(
+    pairs: Iterable[tuple[ShingleSet, ShingleSet]], index: LexiconIndex, params: RankerParams
+) -> list[float]:
+    """:func:`sim` of each (query, document) pair, in order.
+
+    A weighted score starts at its length term and adds its shared
+    tokens' weights in query token order (not set order, which differs
+    across processes).  Each token's weight is computed once per call
+    (bm25's, which reads the document's size, once per token and size)
+    and each length term once per (|Q|, |D|): both are pure functions of
+    those keys, so every pair sums the same floats in the same order as
+    a call of its own, bit for bit.
+    """
     function = params.function
     if function == "xdice":
-        return _dice(
-            extended_bigram_tokens(query.source_word),
-            extended_bigram_tokens(doc.source_word),
-        )
-    # shared tokens in query generation order: summation order must not
-    # depend on set iteration, or scores drift across processes
-    shared = [t for t in query.tokens if t in doc.token_set]
+        return [
+            _dice(extended_bigram_tokens(q.source_word), extended_bigram_tokens(d.source_word))
+            for q, d in pairs
+        ]
     if function not in _WEIGHTED:
-        return _count_score(function, len(shared), len(query), len(doc))
-    doc_len = len(doc)
-    score = _length_term(len(query), doc_len, params)
-    for token in shared:
-        score += _term_weight(token, doc_len, index, params)
-    return score
+        return [
+            _count_score(function, sum(map(d.token_set.__contains__, q.tokens)), len(q), len(d))
+            for q, d in pairs
+        ]
+    by_size = function == "bm25"
+    weights: dict = {}
+    starts: dict[tuple[int, int], float] = {}
+    scores = []
+    for query, doc in pairs:
+        doc_len = len(doc)
+        lens = (len(query), doc_len)
+        score = starts.get(lens)
+        if score is None:
+            score = starts[lens] = _length_term(*lens, params)
+        for token in filter(doc.token_set.__contains__, query.tokens):
+            key = (token, doc_len) if by_size else token
+            weight = weights.get(key)
+            if weight is None:
+                weight = weights[key] = _term_weight(token, doc_len, index, params)
+            score += weight
+        scores.append(score)
+    return scores
 
 
 def _query_postings(query: ShingleSet, index: LexiconIndex, function: str):

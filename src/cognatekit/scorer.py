@@ -36,6 +36,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, compress, islice
+from operator import add, itemgetter, ne, sub
 from typing import Optional, Sequence
 
 from .errors import ConfigError, TrainingError
@@ -44,6 +46,7 @@ from .ranking import (
     LexiconIndex,
     RankerParams,
     _position,
+    _sims,
     sim,
     sim_all,
     sim_order,
@@ -79,6 +82,12 @@ def _check_sim_weight(weight: float) -> None:
         raise ConfigError(f"similarity weight must be in [0, 1], got {weight}")
 
 
+def _check_threshold(threshold: float) -> None:
+    """Reject a decision threshold outside [0, 1], NaN included."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+
+
 @dataclass(frozen=True)
 class ScoreConfig:
     """Blend weight, ranking function, normalization mode, and threshold."""
@@ -90,8 +99,7 @@ class ScoreConfig:
 
     def __post_init__(self) -> None:
         _check_sim_weight(self.sim_weight)
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        _check_threshold(self.threshold)
         if self.normalization not in NORMALIZATION_MODES:
             raise ConfigError(
                 f"unknown normalization {self.normalization!r}; "
@@ -276,30 +284,33 @@ def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:
 
     Classification is ``score >= threshold``; ties between candidates go
     to the smallest threshold.  A single distinct score is its own
-    candidate.
+    candidate, returned as ``scores[0]``.  Scores must be finite.
+
+    One stable sort of the ids by score, then one scan of the boundaries
+    between unequal neighbours.  At the boundary below the ``j``-th
+    lowest score, correct = j - 2 * (positives among the j lowest) + all
+    positives, so the best boundary is the first maximum of ``j - 2 *
+    positives``.  Equal scores are one run (0.0 == -0.0), and a midpoint
+    ``(left + right) / 2.0`` does not depend on which equal float stands
+    for its run (x + 0.0 == x + -0.0 for x != 0), so the result equals
+    that of a search over the distinct values, bit for bit.
     """
-    if not scores or len(scores) != len(labels):
+    n = len(scores)
+    if not n or n != len(labels):
         raise TrainingError("threshold search needs one label per score")
-    by_value: dict[float, list[int]] = {}
-    for score, label in zip(scores, labels):
-        counts = by_value.setdefault(score, [0, 0])
-        counts[bool(label)] += 1
-    values = sorted(by_value)
-    if len(values) == 1:
-        return values[0]
-    # prefix negatives below each boundary, suffix positives at or above it
-    neg_below = 0
-    pos_at_or_above = sum(by_value[v][1] for v in values)
-    best_threshold = None
-    best_correct = -1
-    for left, right in zip(values, values[1:]):
-        neg_below += by_value[left][0]
-        pos_at_or_above -= by_value[left][1]
-        correct = neg_below + pos_at_or_above
-        if correct > best_correct:
-            best_correct = correct
-            best_threshold = (left + right) / 2.0
-    return best_threshold
+    if not all(map(math.isfinite, scores)):
+        raise TrainingError("threshold search needs finite scores")
+    ranked = sorted(range(n), key=scores.__getitem__)
+    values = list(map(scores.__getitem__, ranked))
+    positive = list(map(bool, map(labels.__getitem__, ranked)))
+    # j - 2 * positives among the j lowest, for j = 1 .. n - 1
+    gains = map(sub, range(1, n), accumulate(map(add, positive, positive)))
+    boundaries = map(ne, values, islice(values, 1, None))
+    best = max(compress(zip(gains, range(1, n)), boundaries), key=itemgetter(0), default=None)
+    if best is None:
+        return scores[0]
+    j = best[1]
+    return (values[j - 1] + values[j]) / 2.0
 
 
 def train_scorer(
@@ -323,7 +334,7 @@ def train_scorer(
     if any(s.config != error_model.config or t.config != error_model.config for s, t, _ in sets):
         raise ConfigError("shingle sets do not match the error model's shingler config")
     index = LexiconIndex([t for _, t, _ in sets], error_model.config)
-    raws = [sim(s, t, index, ranker) for s, t, _ in sets]
+    raws = _sims([(s, t) for s, t, _ in sets], index, ranker)
     sim_min, sim_max = min(raws), max(raws)
     if not sim_min < sim_max:
         raise TrainingError(

@@ -405,6 +405,25 @@ class TestExitCodes:
         assert started == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize("flags", [["train"], ["train", "--no-tune"], ["eval"]],
+                             ids=["train", "train-no-tune", "eval"])
+    def test_threshold_outside_unit_interval_is_usage_error(
+        self, flags, value, tmp_path, synthetic_dataset_file, monkeypatch, capsys
+    ):
+        # rejected before a word is shingled, a fold drawn or a scorer fitted
+        started = []
+        for module, name in ((cli, "ShingledPairs"), (evaluation, "ShingledPairs"),
+                             (evaluation, "stratified_folds"), (evaluation, "fit_pipeline"),
+                             (cli, "fit_pipeline")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kw: started.append(name))
+        out = tmp_path / "out.json"
+        argv = flags + ["--dataset", str(synthetic_dataset_file), "--out", str(out)]
+        assert main(argv + [f"--threshold={value}"]) == 1
+        assert f"threshold must be in [0, 1], got {float(value)}" in capsys.readouterr().err
+        assert started == []
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["shingle", "word", "--wat"]) == 1
 

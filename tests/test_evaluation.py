@@ -565,6 +565,17 @@ class TestExperiments:
         assert report.hyperparameters["classification"]["sim_weight"] == 0.6
         assert report.hyperparameters["ranking"] == report.hyperparameters["classification"]
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 1.5])
+    def test_pinned_threshold_outside_unit_interval_rejected_first(
+        self, threshold, synthetic_pairs, monkeypatch
+    ):
+        def no_shingling(*args, **kwargs):
+            raise AssertionError("shingled before the threshold was checked")
+
+        monkeypatch.setattr(evaluation, "ShingledPairs", no_shingling)
+        with pytest.raises(ConfigError, match=r"threshold must be in \[0, 1\]"):
+            run_experiment(synthetic_pairs, TWO_END, "dirichlet", fixed={"threshold": threshold})
+
     def test_each_experiment_tunes_its_own_objective(self, synthetic_pairs):
         report = run_experiment(synthetic_pairs, TWO_END, "dirichlet", seed=42)
         assert report.hyperparameters["classification"]["objective"] == "accuracy"

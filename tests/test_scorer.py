@@ -411,6 +411,15 @@ class TestLearnThreshold:
         with pytest.raises(TrainingError):
             learn_threshold([0.5], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_rejects_non_finite_scores(self, bad, position):
+        # wherever it stands, a NaN or infinity is no cutoff to learn from
+        scores = [0.2, 0.8, 0.3, 0.9]
+        scores[position] = bad
+        with pytest.raises(TrainingError, match="finite"):
+            learn_threshold(scores, [False, True, False, True])
+
 
 class TestTrainScorer:
     def test_learns_bounds_and_threshold(self):
