@@ -55,12 +55,15 @@ def brute_force_threshold(scores, labels):
 @st.composite
 def scored_labels(draw, scores=st.one_of(TIED, FINITE), labels=LABEL):
     n = draw(st.integers(1, 40))
-    return draw(st.lists(scores, min_size=n, max_size=n)), draw(st.lists(labels, min_size=n, max_size=n))
+    return (draw(st.lists(scores, min_size=n, max_size=n)),
+            draw(st.lists(labels, min_size=n, max_size=n)))
 
 
 class TestLearnThresholdOracle:
     @ORACLE
-    @given(case=st.one_of(scored_labels(), scored_labels(TIED), scored_labels(labels=st.integers(0, 1))))
+    @given(case=st.one_of(
+        scored_labels(), scored_labels(TIED), scored_labels(labels=st.integers(0, 1))
+    ))
     @example(case=([0.7, 0.7, 0.7], [True, False, True]))
     @example(case=([-0.0, 0.0], [False, True]))
     @example(case=([0.0, -0.0, 0.0], [1, 0, 1]))
