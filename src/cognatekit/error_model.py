@@ -35,6 +35,14 @@ of ``build_graph(s, t).edges``.  A top token that heads no counted edge
 contributes ``len(bottom)`` zeros.  The count sequence therefore equals
 ``[counts.get(edge, 0) for edge in build_graph(s, t).edges]`` element
 for element, and the score's summation order is unchanged.
+
+Count histograms bound a score; they never become one.  The MRR tune
+reads, through an index's postings, each document's edge count and
+sorted nonzero counts (:func:`_count_histograms`), and turns each
+distinct histogram into a certified interval around the loop's mean
+(:func:`_mean_bounds`).  A rank reads the intervals and scores exactly,
+with the loop above, only the documents whose interval it cannot
+decide, so every float it compares is the kernel's.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError, TrainingError
 from .shingling import ShinglerConfig, ShingleSet, shingle
@@ -145,6 +153,108 @@ def _mean_ceiling(table: Mapping[int, float], edges: int) -> float:
     held exactly, and ``nextafter`` covers rounding the product.
     """
     return math.nextafter(max(table.values()) * (1.0 + edges * 2.0**-52), math.inf)
+
+
+def _count_histograms(queries: Iterable[ShingleSet], index, nested: Mapping) -> Iterator[list]:
+    """Per query, ``(E, counts)`` of its graph with each document of ``index``.
+
+    E is the edge count and ``counts`` the nonzero counts of the edges,
+    sorted, with multiplicities: ``len`` and the nonzero ``Counter`` of
+    ``_count_seq(query, doc, nested)``, read from the index's postings.
+    With s shared tokens, a = |Q| - s and b = |D| - s real tokens on the
+    two sides, and m = max(a, b, 1), each side is padded to m tokens, so
+    E = m * m.  The counted edges are a real pair (u, v), found through
+    ``postings[v]`` for each v in the row of a query token u, skipping
+    documents that hold u (u is shared there) and any v in the query (a
+    shared token, or one the document lacks); (u, ∅) for each real u,
+    m - b times; (∅, v) for each real v, m - a times; and (∅, ∅), (m -
+    a) * (m - b) times, which is nonzero only for identical token sets.
+    """
+    postings = index.postings
+    insertions = nested.get(EMPTY_TOKEN, _NO_COUNTS)
+    both_empty = insertions.get(EMPTY_TOKEN, 0)
+    # the (∅, v) counts of a document that shares no token with the query
+    inserted = [[insertions[v] for v in doc.tokens if v in insertions] for _, doc in index.docs]
+    for query in queries:
+        query_set = query.token_set
+        shared: Counter = Counter()
+        for token in query.tokens:
+            shared.update(postings.get(token, ()))
+        real: dict[int, list[int]] = {}
+        deletions = []  # (u, count of (u, ∅)) for the query's tokens
+        for u in query.tokens:
+            row = nested.get(u)
+            if row is None:
+                continue
+            holders = set(postings.get(u, ()))
+            for v, count in row.items():
+                if v is EMPTY_TOKEN:
+                    deletions.append((u, count))
+                elif v not in query_set:
+                    for d in postings.get(v, ()):
+                        if d not in holders:
+                            real.setdefault(d, []).append(count)
+        deleted = [count for _, count in deletions]  # those of a document sharing no token
+        size = len(query)
+        histograms = []
+        for d, ((_, doc), length) in enumerate(zip(index.docs, index.doc_lens)):
+            s = shared.get(d, 0)
+            a, b = size - s, length - s
+            counts = real.get(d, [])
+            if a > b:
+                if s:
+                    held = doc.token_set
+                    counts = counts + [c for u, c in deletions if u not in held] * (a - b)
+                else:
+                    counts = counts + deleted * (a - b)
+            elif b > a:
+                if s:
+                    counts = counts + [
+                        insertions[v] for v in doc.tokens if v in insertions and v not in query_set
+                    ] * (b - a)
+                else:
+                    counts = counts + inserted[d] * (b - a)
+            elif not a and both_empty:
+                counts = counts + [both_empty]
+            m = max(a, b, 1)
+            histograms.append((m * m, tuple(sorted(counts))))
+        yield histograms
+
+
+def _mean_bounds(edges: int, counts: Sequence[int], columns: Mapping[int, tuple]) -> tuple:
+    """Bounds on ``_mean_score`` of any ``edges`` counts whose nonzero ones are ``counts``.
+
+    ``columns[c]`` holds the value of count c in each of k tables, in
+    [0, 1]; the result holds k lower bounds, then k upper bounds, one
+    per table.  Let u = 2**-53, E = ``edges``, S the exact sum of the E
+    values and ŝ the loop's float sum.  Each of its E - 1 additions of
+    nonnegative floats rounds by a factor within [1 - u, 1 + u] (a sum
+    below the normal range is exact), so S * (1 - u)**(E-1) <= ŝ <=
+    S * (1 + u)**(E-1): the gamma_E bound of recursive summation
+    (Higham 2002, §4.2).  P, the ``fsum`` of the nonzero counts' values
+    and of the product (number of zeros) * (value of 0), estimates S:
+    the product rounds by a factor within [1 - u, 1 + u] (or is exact
+    below the normal range, where every float is a multiple of
+    2**-1074), and ``fsum`` rounds correctly, so S * (1 - u)**2 <= P <=
+    S * (1 + u)**2.  Hence ŝ / P lies between (1 - u)**(E-1) / (1 + u)**2
+    >= 1 - (E + 1) * u and (1 + u)**(E-1) / (1 - u)**2 <= 1 + 2 * (E +
+    1) * u, as E * u <= 1/2, so within 1 ± f for f = (E + 2) * 2**-52.
+    1 ± f is a float held exactly, and ``nextafter`` covers rounding the
+    product by it.  Rounding is monotone, so the score, ŝ / E rounded,
+    lies between the bounds on ŝ divided by E and rounded the same way,
+    underflow included.
+    """
+    zeros = edges - len(counts)
+    totals = [
+        math.fsum(values)
+        for values in zip(*map(columns.__getitem__, counts), [zeros * v for v in columns[0]])
+    ]
+    slack = (edges + 2) * 2.0**-52
+    down, up = 1.0 - slack, 1.0 + slack
+    return (
+        *[math.nextafter(total * down, -math.inf) / edges for total in totals],
+        *[math.nextafter(total * up, math.inf) / edges for total in totals],
+    )
 
 
 def _encode_edge(edge) -> str:

@@ -23,14 +23,20 @@ fits read it.  Test words are shingled when they are classified or
 ranked.  Tuning runs fold by fold: each fold fits its error model,
 builds the rows its grid points read (sims per (mu, k1, b),
 transformation scores per (alpha, power)), scores every grid
-combination and is dropped, so one fold's rows are alive at a time.  Transformation scores come from count sequences, scored once per
-distinct sequence and (alpha, power).  A combination that reads the
-same parameter values as an earlier one (weight 0 ignores mu/k1/b,
-weight 1 ignores alpha/power) is skipped, as it could only tie.  For
-weights strictly between 0 and 1 the MRR tune ranks each target with
-the same walk as ``eval_mrr``.  Every float is computed by the same
-expressions in the same order as a model trained on the fold, so
-results are equal.
+combination and is dropped, so one fold's rows are alive at a time.
+A combination that reads the same parameter values as an earlier one
+(weight 0 ignores mu/k1/b, weight 1 ignores alpha/power) is skipped, as
+it could only tie.  The accuracy tune scores a count sequence per pair,
+once per distinct sequence and (alpha, power).  The MRR tune ranks
+each validation cognate's target among all training targets, so it
+reads count histograms from the postings instead: one certified
+interval per distinct histogram and (alpha, power) decides most ranks,
+and a document's count sequence is built, once, only where an interval
+cannot (at weight 0, where it reaches the target's score; for weights
+strictly between 0 and 1, where the walk ``eval_mrr`` uses reaches,
+bounded by the largest interval end).  Every float compared is computed
+by the same expressions in the same order as a model trained on the
+fold, so results are equal.
 
 A system is anything with the two methods the experiments read:
 ``classify(source, target) -> bool`` and ``target_rank(query, lexicon,
@@ -44,18 +50,29 @@ every report is built by :func:`evaluate`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .baselines import baseline_similarity
 from .errors import ConfigError, DataError, InvalidWordError, TrainingError
-from .error_model import ErrorModel, _count_seq, _edge_model, _mean_score, build_graph
+from .error_model import (
+    ErrorModel,
+    _count_histograms,
+    _count_seq,
+    _edge_model,
+    _mean_bounds,
+    _mean_score,
+    build_graph,
+)
 from .ranking import (
     LexiconIndex,
     RankerParams,
+    _position,
     _read_lines,
     _sims,
     build_index,
@@ -402,12 +419,35 @@ def _fold_accuracy(sets, model, function, train, val, combos) -> list[float]:
     return scores
 
 
+def _bounded_rank(words, target, lows, highs, trans) -> int:
+    """1-based rank of ``target`` among the scores ``trans(i)`` of ``words``, read from bounds.
+
+    ``lows[i] <= trans(i) <= highs[i]``.  A word whose interval lies
+    above the target's exact score t outranks it and one whose interval
+    lies below does not; only those whose interval reaches t are scored,
+    and ranked among themselves with the word tie rule.  Equal to
+    ``target_rank(words, [trans(i) ...], target)``.
+    """
+    t = trans(_position(words, target))
+    if words.count(target) > 1:
+        t = max(trans(i) for i, word in enumerate(words) if word == target)
+    reaching = list(itertools.compress(range(len(highs)), map(t.__le__, highs)))
+    near = [i for i in reaching if lows[i] <= t]
+    ahead = len(reaching) - len(near)  # lows[i] > t
+    return ahead + target_rank([words[i] for i in near], [trans(i) for i in near], target)
+
+
 def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[float]]:
     """Each combo's MRR of the validation cognates ``queries`` over ``index``.
 
     ``None`` when the fold has no validation cognate.  Sims are
-    normalized per query, and at weights strictly between 0 and 1 each
-    target is ranked by the walk of :mod:`cognatekit.scorer`.
+    normalized per query.  Transformation scores are bounded from each
+    document's count histogram, one interval per distinct histogram and
+    (alpha, power), and computed exactly, from one count list per
+    (query, document), only where a rank depends on them: at weight 0
+    where an interval reaches the target's score, and at weights
+    strictly between 0 and 1 where the walk of :mod:`cognatekit.scorer`
+    reaches, bounded by the row's largest interval end.
     """
     if not queries:
         return None
@@ -423,29 +463,47 @@ def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[fl
         key: [sorted(range(len(row)), key=row.__getitem__, reverse=True) for row in norms[key]]
         for key in _sim_keys(combos, lambda weight: 0.0 < weight < 1.0)
     }
-    trans = _trans_rows(
-        model,
-        ([_count_seq(source, doc, model._nested) for _, doc in index.docs] for source in sources),
-        combos,
-    )
-    maxima = {key: [max(row) for row in rows] for key, rows in trans.items()}
-    words = index.words
+    points = dict.fromkeys((c["alpha"], c["power"]) for c in combos if c["sim_weight"] < 1.0)
+    zero = {(c["alpha"], c["power"]) for c in combos if c["sim_weight"] == 0.0}
+    tables = [replace(model, alpha=alpha, power=power)._table for alpha, power in points]
+    nested, docs, words = model._nested, index.docs, index.words
+    columns = {count: tuple(table[count] for table in tables) for count in model._table}
+    # per query: the exact score, the largest interval end, the rank at weight 0
+    trans = {point: [] for point in points}
+    intervals: dict[tuple, tuple] = {}  # by histogram: a lower bound per table, then an upper
+    histogram_rows = _count_histograms(sources, index, nested) if points else ()
+    for p, source, histograms in zip(queries, sources, histogram_rows):
+        for histogram in histograms:
+            if histogram not in intervals:
+                intervals[histogram] = _mean_bounds(*histogram, columns)
+        rows = [intervals[histogram] for histogram in histograms]
+        # one count list per (query, document), built on first use
+        seq = functools.cache(lambda i, source=source: _count_seq(source, docs[i][1], nested))
+        for j, (point, table) in enumerate(zip(points, tables)):
+            highs = list(map(itemgetter(len(tables) + j), rows))
+            exact = functools.cache(lambda i, table=table, seq=seq: _mean_score(seq(i), table))
+            rank = None
+            if point in zero:
+                lows = list(map(itemgetter(j), rows))
+                rank = _bounded_rank(words, p.target, lows, highs, exact)
+            trans[point].append((exact, max(highs), rank))
+    intervals.clear()  # the combos read only exact scores, ceilings and ranks
     scores = []
     for combo in combos:
         weight = combo["sim_weight"]
         sim_key = (combo["mu"], combo["k1"], combo["b"])
         trans_key = (combo["alpha"], combo["power"])
-        if weight in (0.0, 1.0):  # one side decides alone: no bound to prune with
-            rows = norms[sim_key] if weight == 1.0 else trans[trans_key]
-            ranks = [target_rank(words, row, p.target) for p, row in zip(queries, rows)]
+        if weight == 1.0:  # the sims decide alone
+            ranks = [target_rank(words, row, p.target) for p, row in zip(queries, norms[sim_key])]
+        elif weight == 0.0:  # the transformation scores decide alone
+            ranks = [rank for _, _, rank in trans[trans_key]]
         else:
             ranks = [
                 _walked_rank(
-                    weight, words, p.target, order, norm_row.__getitem__,
-                    trans_row.__getitem__, ceiling,
+                    weight, words, p.target, order, norm_row.__getitem__, exact, ceiling
                 )
-                for p, norm_row, order, trans_row, ceiling in zip(
-                    queries, norms[sim_key], orders[sim_key], trans[trans_key], maxima[trans_key]
+                for p, norm_row, order, (exact, ceiling, _) in zip(
+                    queries, norms[sim_key], orders[sim_key], trans[trans_key]
                 )
             ]
         scores.append(_mean([1.0 / r for r in ranks]))

@@ -293,7 +293,9 @@ def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:
     positives``.  Equal scores are one run (0.0 == -0.0), and a midpoint
     ``(left + right) / 2.0`` does not depend on which equal float stands
     for its run (x + 0.0 == x + -0.0 for x != 0), so the result equals
-    that of a search over the distinct values, bit for bit.
+    that of a search over the distinct values, bit for bit.  Where
+    ``left + right`` overflows, the midpoint is ``left / 2.0 + right /
+    2.0``: halving a value that large is exact, so it lies between them.
     """
     n = len(scores)
     if not n or n != len(labels):
@@ -309,8 +311,9 @@ def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:
     best = max(compress(zip(gains, range(1, n)), boundaries), key=itemgetter(0), default=None)
     if best is None:
         return scores[0]
-    j = best[1]
-    return (values[j - 1] + values[j]) / 2.0
+    left, right = values[best[1] - 1], values[best[1]]
+    middle = (left + right) / 2.0
+    return middle if math.isfinite(middle) else left / 2.0 + right / 2.0
 
 
 def train_scorer(

@@ -38,6 +38,7 @@ from cognatekit.baselines import BASELINE_METHODS, baseline_similarity
 from cognatekit.error_model import ErrorModel
 from cognatekit.evaluation import (
     GRID_KEYS,
+    _bounded_rank,
     _effective_key,
     _resolve_grids,
     dataset_lexicon,
@@ -473,6 +474,40 @@ class TestTune:
                 weight, words, words[t], order, norms.__getitem__, trans.__getitem__, max(trans)
             )
             assert walked == expected
+
+    def test_bounded_rank_equals_full_row_on_heavy_ties(self):
+        # exact scores on a coarse grid tie often; an interval may be a
+        # single point, end exactly at another score or be wide, and words
+        # repeat, as an index's may
+        rng = random.Random(53)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            words = [rng.choice("abcde") for _ in range(n)]
+            trans = [rng.choice(grid) for _ in range(n)]
+            lows = [value - rng.choice([0.0, 0.0, 0.25, 1.0]) for value in trans]
+            highs = [value + rng.choice([0.0, 0.0, 0.25, 1.0]) for value in trans]
+            target = rng.choice(words)
+            expected = target_rank(words, trans, target)
+            scored = []
+
+            def exact(i):
+                scored.append(i)
+                return trans[i]
+
+            assert _bounded_rank(words, target, lows, highs, exact) == expected
+            best = max(value for word, value in zip(words, trans) if word == target)
+            assert all(words[i] == target or lows[i] <= best <= highs[i] for i in scored)
+
+    def test_mrr_tune_builds_few_count_lists(self, monkeypatch):
+        # the histograms decide most ranks: few (query, document) pairs need
+        # an exact count list
+        pairs = make_hard_synthetic_pairs(40, 40)
+        calls = self.recorded(monkeypatch, "_count_seq")
+        tune(ShingledPairs(pairs, TWO_END), "dirichlet", objective="mrr")
+        queries = sum(p.label for p in pairs)  # each cognate validates once
+        documents = len({p.target for p in pairs})
+        assert 0 < len(calls) < 0.15 * queries * documents
 
     @staticmethod
     def counted_indexes(monkeypatch):

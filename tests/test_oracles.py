@@ -1,4 +1,4 @@
-"""Brute-force oracles for the threshold search and batched sims, compared bit for bit.
+"""Brute-force oracles for the threshold search, batched sims and count histograms.
 
 Floats are compared by ``float.hex``, so 0.0 and -0.0 differ.
 """
@@ -18,6 +18,15 @@ from cognatekit import (  # noqa: E402
     shingle,
     sim,
 )
+from cognatekit.error_model import (  # noqa: E402
+    _count_histograms,
+    _count_seq,
+    _mean_bounds,
+    _mean_score,
+    _power_table,
+    train_error_model,
+)
+from cognatekit.evaluation import DEFAULT_GRIDS  # noqa: E402
 from cognatekit.ranking import (  # noqa: E402
     _WEIGHTED,
     RANKING_FUNCTIONS,
@@ -48,7 +57,10 @@ def brute_force_threshold(scores, labels):
     for left, right in zip(values, values[1:]):
         correct = sum((score > left) == bool(label) for score, label in zip(scores, labels))
         if correct > best_correct:
-            best, best_correct = (left + right) / 2.0, correct
+            middle = (left + right) / 2.0
+            if not math.isfinite(middle):  # left + right overflows
+                middle = left / 2.0 + right / 2.0
+            best, best_correct = middle, correct
     return best
 
 
@@ -70,6 +82,8 @@ class TestLearnThresholdOracle:
     @example(case=([0.5, -0.0, 0.0, 0.5], [0, 0, 1, 1]))
     @example(case=([0.1, 0.4, 0.4, 0.9], [True, True, True, True]))
     @example(case=([0.1, 0.4, 0.4, 0.9], [False, False, False, False]))
+    @example(case=([1e308, 1.7e308], [False, True]))
+    @example(case=([-1.7e308, -1e308, 1.7e308], [False, True, True]))
     def test_equals_brute_force(self, case):
         scores, labels = case
         expected = brute_force_threshold(scores, labels)
@@ -130,3 +144,85 @@ class TestBatchedSimOracle:
         assert batched == [sim(q, d, index, params).hex() for q, d in pairs]
         if params.function in _WEIGHTED:
             assert batched == [fresh_weighted_sim(q, d, index, params).hex() for q, d in pairs]
+
+
+HISTOGRAM_CONFIG = st.sampled_from([
+    ShinglerConfig(sizes, mode)
+    for mode in ("plain", "one_end", "two_end") for sizes in ((2,), (2, 3))
+])
+SHORT = st.text(alphabet="abc", min_size=1, max_size=6)
+
+
+class TestCountHistogramOracle:
+    """``_count_histograms`` against the nonzero counts and length of ``_count_seq``."""
+
+    @ORACLE
+    @given(
+        config=HISTOGRAM_CONFIG,
+        # an identical pair counts the (∅, ∅) edge
+        training=st.lists(st.one_of(st.tuples(SHORT, SHORT), SHORT.map(lambda w: (w, w))),
+                          min_size=1, max_size=15),
+        lexicon=st.lists(SHORT, min_size=1, max_size=10),
+        outside=st.lists(SHORT, max_size=3),
+        picks=st.lists(st.integers(0, 99), min_size=1, max_size=4),
+    )
+    @example(  # identical words, each side left empty, both kinds of placeholder rows
+        config=ShinglerConfig((2,), "plain"),
+        training=[("ab", "ab"), ("ab", "abc"), ("abc", "ab"), ("ab", "b"), ("cab", "ca")],
+        lexicon=["ab", "abc", "b", "ca", "cab", "abcab"],
+        outside=["cb"],
+        picks=[0, 1, 2, 4, 6],
+    )
+    @example(
+        config=ShinglerConfig((2, 3), "two_end"),
+        training=[("aa", "aa"), ("aab", "ab"), ("ab", "aab"), ("ba", "bab")],
+        lexicon=["aa", "aab", "ab", "bab"],
+        outside=["ba"],
+        picks=[0, 1, 2, 3, 4],
+    )
+    def test_equals_nonzero_counts_of_the_count_list(
+        self, config, training, lexicon, outside, picks
+    ):
+        nested = train_error_model(training, config)._nested
+        index = LexiconIndex([shingle(word, config) for word in lexicon], config)
+        words = lexicon + outside
+        queries = [shingle(words[i % len(words)], config) for i in picks]
+        rows = list(_count_histograms(queries, index, nested))
+        assert len(rows) == len(queries)
+        for query, histograms in zip(queries, rows):
+            assert len(histograms) == len(index.docs)
+            for (_, doc), (edges, counts) in zip(index.docs, histograms):
+                seq = _count_seq(query, doc, nested)
+                assert edges == len(seq)
+                assert list(counts) == sorted(count for count in seq if count)
+
+
+class TestMeanBoundsOracle:
+    """``_mean_bounds`` holds ``_mean_score`` of the count list at every grid point."""
+
+    @ORACLE
+    @given(
+        # few distinct counts, so values repeat and the loop's rounding accumulates
+        seq=st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 40]), min_size=1, max_size=150),
+        total=st.integers(0, 2000),
+        distinct=st.integers(1, 40),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(  # without slack the loop's sum lands outside [lo, hi]
+        seq=[5, 1, 3, 5, 0, 3, 2, 0, 3, 5, 3, 1, 0, 5, 0, 0, 0, 0, 40, 1, 3, 3, 3, 1, 0, 1,
+             1, 3, 8, 2, 3],
+        total=50, distinct=18, order=None,
+    )
+    def test_bounds_hold_the_mean_at_every_grid_point(self, seq, total, distinct, order):
+        if order is not None:
+            order.shuffle(seq)
+        total = max(total, *seq)  # a model's total is at least each of its counts
+        tables = [
+            _power_table({0, *seq}, total, distinct, alpha, power)
+            for alpha in DEFAULT_GRIDS["alpha"] for power in DEFAULT_GRIDS["power"]
+        ]
+        columns = {count: tuple(table[count] for table in tables) for count in tables[0]}
+        bounds = _mean_bounds(len(seq), sorted(count for count in seq if count), columns)
+        assert len(bounds) == 2 * len(tables)
+        for j, table in enumerate(tables):
+            assert bounds[j] <= _mean_score(seq, table) <= bounds[len(tables) + j]

@@ -120,6 +120,26 @@ CASES = {
         ["eval", "--method", "xdice"],
         "2273e30fc2b180ba7709e565b52e394076e762831baeff1824f0d78c03c4daeb",
     ),
+    "train-mrr-plain-k23": (
+        "hard",
+        ["train", "--objective", "mrr", "--mode", "plain", "--k", "2,3"],
+        "bc6a04038ef2222414dd8be8c9d5166c595e504c4df7e3725b1ce5b8742e07cd",
+    ),
+    "train-mrr-one-end-k23-tfidf": (
+        "hard",
+        ["train", "--objective", "mrr", "--mode", "one-end", "--k", "2,3", "--ranker", "tfidf"],
+        "9bd003486e1096b030a2d69300e9c84d42e75fe36958c9d413f6e8a07d608218",
+    ),
+    "train-mrr-jaccard": (
+        "hard",
+        ["train", "--objective", "mrr", "--ranker", "jaccard"],
+        "36b8d668c05d55ad0a2b2b596b518d9e3f4bda5c89ad34c4b07fd34a3ef17a52",
+    ),
+    "eval-folds-3": (
+        "hard",
+        ["eval", "--folds", "3"],
+        "60aea99cacce1c576734b1035fefe63c818f30b3c6716601ae20fd63b8e398f7",
+    ),
 }
 
 
