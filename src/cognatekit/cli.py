@@ -266,10 +266,10 @@ def _cmd_eval(args) -> int:
         report = run_baseline_experiment(pairs, args.method, seed=seed, extra_lexicon=extra)
     elif args.model is not None:
         scorer, meta = load_model(args.model)
-        if args.seed is None and meta.get("seed") is not None:
+        if args.seed is None and meta["seed"] is not None:
             seed = meta["seed"]
         system = PipelineSystem(scorer)
-        hyperparameters = dict(meta.get("hyperparameters") or {})
+        hyperparameters = dict(meta["hyperparameters"])
         hyperparameters.setdefault("threshold", scorer.config.threshold)
         report = evaluate(
             system, system, pairs, seed, f"model:{args.model}", hyperparameters, extra

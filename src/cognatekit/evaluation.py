@@ -32,11 +32,11 @@ each validation cognate's target among all training targets, so it
 reads count histograms from the postings instead: one certified
 interval per distinct histogram and (alpha, power) decides most ranks,
 and a document's count sequence is built, once, only where an interval
-cannot (at weight 0, where it reaches the target's score; for weights
-strictly between 0 and 1, where the walk ``eval_mrr`` uses reaches,
-bounded by the largest interval end).  Every float compared is computed
-by the same expressions in the same order as a model trained on the
-fold, so results are equal.
+cannot (at weight 0, where it reaches the target's score; above weight
+0, where the walk ``eval_mrr`` uses reaches, bounded by the largest
+interval end; at weight 1 the walk reads none).  Every float compared is
+computed by the same expressions in the same order as a model trained
+on the fold, so results are equal.
 
 A system is anything with the two methods the experiments read:
 ``classify(source, target) -> bool`` and ``target_rank(query, lexicon,
@@ -447,7 +447,8 @@ def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[fl
     (query, document), only where a rank depends on them: at weight 0
     where an interval reaches the target's score, and at weights
     strictly between 0 and 1 where the walk of :mod:`cognatekit.scorer`
-    reaches, bounded by the row's largest interval end.
+    reaches, bounded by the row's largest interval end.  At weight 1 the
+    walk reads the sims alone.
     """
     if not queries:
         return None
@@ -460,8 +461,8 @@ def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[fl
             raw = sim_all(source, index, params)
             rows.append(_normalize(raw, min(raw), max(raw)))
     orders = {
-        key: [sorted(range(len(row)), key=row.__getitem__, reverse=True) for row in norms[key]]
-        for key in _sim_keys(combos, lambda weight: 0.0 < weight < 1.0)
+        key: [sorted(range(len(row)), key=row.__getitem__, reverse=True) for row in rows]
+        for key, rows in norms.items()
     }
     points = dict.fromkeys((c["alpha"], c["power"]) for c in combos if c["sim_weight"] < 1.0)
     zero = {(c["alpha"], c["power"]) for c in combos if c["sim_weight"] == 0.0}
@@ -491,19 +492,19 @@ def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[fl
     scores = []
     for combo in combos:
         weight = combo["sim_weight"]
-        sim_key = (combo["mu"], combo["k1"], combo["b"])
         trans_key = (combo["alpha"], combo["power"])
-        if weight == 1.0:  # the sims decide alone
-            ranks = [target_rank(words, row, p.target) for p, row in zip(queries, norms[sim_key])]
-        elif weight == 0.0:  # the transformation scores decide alone
+        if weight == 0.0:  # the transformation scores decide alone
             ranks = [rank for _, _, rank in trans[trans_key]]
         else:
+            sim_key = (combo["mu"], combo["k1"], combo["b"])
+            # at weight 1 the walk reads no exact score and no ceiling
+            parts = trans[trans_key] if weight < 1.0 else itertools.repeat((None, None, None))
             ranks = [
                 _walked_rank(
                     weight, words, p.target, order, norm_row.__getitem__, exact, ceiling
                 )
                 for p, norm_row, order, (exact, ceiling, _) in zip(
-                    queries, norms[sim_key], orders[sim_key], trans[trans_key]
+                    queries, norms[sim_key], orders[sim_key], parts
                 )
             ]
         scores.append(_mean([1.0 / r for r in ranks]))
@@ -716,21 +717,14 @@ def run_experiment(
         resolved_rank = resolve("mrr")
         ranker = fit_pipeline(shingled, ranker_function, resolved_rank)
 
-    def summarize(resolved):
-        out = {key: resolved[key] for key in GRID_KEYS}
-        for key in ("cv_score", "objective", "folds"):
-            if key in resolved:
-                out[key] = resolved[key]
-        return out
-
     hyperparameters = {
         "function": ranker_function,
         "mode": shingler_config.mode,
         "gram_sizes": list(shingler_config.gram_sizes),
         "use_error_model": use_error_model,
         "threshold": classifier.config.threshold,
-        "classification": summarize(resolved_cls),
-        "ranking": summarize(resolved_rank),
+        "classification": resolved_cls,
+        "ranking": resolved_rank,
     }
     ends = {"plain": "0-ended", "one_end": "1-ended", "two_end": "2-ended"}
     sizes = "+".join(str(k) for k in shingler_config.gram_sizes)

@@ -13,7 +13,7 @@ import json
 from typing import Optional
 
 from .errors import CognateKitError, DataError
-from .error_model import _json_number, model_from_dict
+from .error_model import _json_int, _json_number, model_from_dict
 from .ranking import RankerParams, build_index
 from .scorer import CombinedScorer, ScoreConfig
 
@@ -57,7 +57,8 @@ def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
     """Rebuild a scorer and its metadata; any fault in the document is a DataError.
 
     Every numeric field must be a JSON number, and the similarity bounds
-    finite with ``sim_min < sim_max``.
+    finite with ``sim_min < sim_max``.  ``seed``, when present and not
+    null, must be a JSON integer, and ``hyperparameters`` an object.
     """
     try:
         if payload.get("format") != MODEL_FORMAT:
@@ -87,11 +88,14 @@ def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
             sim_min=_json_number(payload["sim_min"], "sim_min"),
             sim_max=_json_number(payload["sim_max"], "sim_max"),
         )
-        meta = {
-            "seed": payload.get("seed"),
-            "hyperparameters": payload.get("hyperparameters", {}),
+        seed = payload.get("seed")
+        hyperparameters = payload.get("hyperparameters", {})
+        if not isinstance(hyperparameters, dict):
+            raise DataError(f"hyperparameters must be an object, got {hyperparameters!r}")
+        return scorer, {
+            "seed": seed if seed is None else _json_int(seed, "seed"),
+            "hyperparameters": hyperparameters,
         }
-        return scorer, meta
     except DataError:
         raise
     except (CognateKitError, KeyError, TypeError, ValueError, OverflowError) as exc:

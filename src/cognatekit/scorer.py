@@ -25,10 +25,9 @@ is still scored, so the word tie rule decides.  The threshold is the
 k-th best exact score so far in ``score_top``, and the target's exact
 score in ``_walked_rank``, the one rank walk, which serves both
 ``target_rank`` and the MRR tune of :mod:`cognatekit.evaluation`.  This
-is Fagin's Threshold Algorithm (Fagin, Lotem & Naor, JCSS 2003).  Its
-callers blend full rows at weights 0 and 1, where one part decides
-alone: at weight 0 every bound is the ceiling and the walk never stops
-early.
+is Fagin's Threshold Algorithm (Fagin, Lotem & Naor, JCSS 2003).  At
+weight 1 a bound is the exact score, so no transformation score is read;
+at weight 0 every bound is the ceiling, so callers blend the full row.
 """
 
 from __future__ import annotations
@@ -226,7 +225,7 @@ class CombinedScorer:
         """
         self._check_index(index)
         w = self.config.sim_weight
-        if w in (0.0, 1.0):  # one part decides alone: no bound to prune with
+        if w == 0.0:  # every bound is the ceiling: no bound to prune with
             return dict(enumerate(self.score_candidates(query, index)))
         order, norm, trans, ceiling = self._walk(query, index)
         bound_trans = [ceiling]
@@ -236,7 +235,7 @@ class CombinedScorer:
             n = [norm(i)]
             if len(top) == k and _blend(w, n, bound_trans)[0] < top[0]:
                 break
-            score = scored[i] = _blend(w, n, [trans(i)])[0]
+            score = scored[i] = _blend(w, n, [] if w == 1.0 else [trans(i)])[0]
             if len(top) < k:
                 heapq.heappush(top, score)
             elif score > top[0]:
@@ -250,7 +249,7 @@ class CombinedScorer:
         """
         self._check_index(index)
         w = self.config.sim_weight
-        if w in (0.0, 1.0):  # one part decides alone: no bound to prune with
+        if w == 0.0:  # every bound is the ceiling: no bound to prune with
             return target_rank(index.words, self.score_candidates(query, index), target)
         return _walked_rank(w, index.words, target, *self._walk(query, index))
 
@@ -261,11 +260,12 @@ def _walked_rank(weight, words, target, order, norm, trans, ceiling) -> int:
     ``order`` yields every id once, in non-increasing ``norm(i)``;
     ``norm(i)`` and ``trans(i)`` are one document's parts, and no
     ``trans(i)`` exceeds ``ceiling``.  The walk stops at the first bound
-    strictly below the target's exact score.
+    strictly below the target's exact score.  At weight 1 neither
+    ``trans`` nor ``ceiling`` is read.
     """
     t = _position(words, target)
-    target_trans = trans(t)
-    best = _blend(weight, [norm(t)], [target_trans])[0]
+    target_trans = [] if weight == 1.0 else [trans(t)]
+    best = _blend(weight, [norm(t)], target_trans)[0]
     bound_trans = [ceiling]
     ids: list[int] = []
     norms: list[float] = []
@@ -275,8 +275,8 @@ def _walked_rank(weight, words, target, order, norm, trans, ceiling) -> int:
             break
         ids.append(i)
         norms.append(n)
-    scores = _blend(weight, norms, [target_trans if i == t else trans(i) for i in ids])
-    return target_rank([words[i] for i in ids], scores, target)
+    walked = [] if weight == 1.0 else [target_trans[0] if i == t else trans(i) for i in ids]
+    return target_rank([words[i] for i in ids], _blend(weight, norms, walked), target)
 
 
 def learn_threshold(scores: Sequence[float], labels: Sequence[bool]) -> float:

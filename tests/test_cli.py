@@ -328,6 +328,22 @@ class TestEvalCommand:
         assert code == 0
         assert "model:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", [1]), ("seed", "7"), ("seed", 7.0), ("seed", True),
+         ("hyperparameters", [1, 2]), ("hyperparameters", "ab"), ("hyperparameters", None)],
+    )
+    def test_bad_model_metadata_is_a_data_error(
+        self, key, value, model_file, synthetic_dataset_file, capsys
+    ):
+        # eval --model reads the seed as its split seed and reports the hyperparameters
+        payload = json.loads(model_file.read_text())
+        payload[key] = value
+        model_file.write_text(json.dumps(payload))
+        argv = ["eval", "--dataset", str(synthetic_dataset_file), "--model", str(model_file)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
     def test_saved_model_reports_what_training_in_process_reports(
         self, model_file, synthetic_dataset_file, tmp_path
     ):

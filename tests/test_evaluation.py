@@ -509,6 +509,15 @@ class TestTune:
         documents = len({p.target for p in pairs})
         assert 0 < len(calls) < 0.15 * queries * documents
 
+    def test_mrr_tune_at_weight_one_builds_no_count_list(self, monkeypatch):
+        # the sims decide alone: the walk reads no transformation score
+        calls = self.recorded(monkeypatch, "_count_seq")
+        histograms = self.recorded(monkeypatch, "_count_histograms")
+        shingled = ShingledPairs(make_hard_synthetic_pairs(20, 20), TWO_END)
+        tuned = tune(shingled, "dirichlet", fixed={"sim_weight": 1.0}, objective="mrr")
+        assert tuned["objective"] == "mrr" and tuned["sim_weight"] == 1.0
+        assert calls == histograms == []
+
     @staticmethod
     def counted_indexes(monkeypatch):
         """The document count of every LexiconIndex built, however it is built."""

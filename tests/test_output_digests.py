@@ -11,7 +11,7 @@ Every case also runs without pytest, on any interpreter::
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-which exits 1 naming the first case that does not match.
+which runs them all and exits 1 naming every case that does not match.
 """
 
 import hashlib
@@ -140,6 +140,16 @@ CASES = {
         ["eval", "--folds", "3"],
         "60aea99cacce1c576734b1035fefe63c818f30b3c6716601ae20fd63b8e398f7",
     ),
+    "eval-lambda-1": (
+        "hard",
+        ["eval", "--lambda", "1"],
+        "b44af079e51534c3293beeb8771445e5d7227c76da5dab5eb528ba7de3a9f48b",
+    ),
+    "train-mrr-lambda-1": (
+        "hard",
+        ["train", "--objective", "mrr", "--lambda", "1"],
+        "d45364322425224b1b1e469f0db37d3eb18ec17e1092f5768c73005a25dfad20",
+    ),
 }
 
 
@@ -174,6 +184,8 @@ MODELS = {
     "no-tune": ["--no-tune"],
     "accuracy": [],
     "mrr": ["--objective", "mrr"],
+    "lambda-0": ["--lambda", "0"],
+    "lambda-1": ["--lambda", "1"],
 }
 
 # rank --model [--lexicon] [-k 10], and classify of the first cognate and non-cognate
@@ -196,6 +208,18 @@ MODEL_CASES = {
     "mrr-rank-lexicon-k10": "74d46f5f9eb079294cbc5596336220ee1efe8e13c40b19f64987cba30b514ac9",
     "mrr-classify-cognate": "aced5f5aa87a2c614e52ab3e18c73f7417ab1ba6905b12071f6a1555adb65a9d",
     "mrr-classify-non-cognate": "444551662f53fd768803251b2bef3b210f9867ba1496ff9264fc5cb5190992c5",
+    "lambda-0-rank": "ccdc2f9834516902137d1ebea264d6ae7961bdf5b2570221c1b8f9b34987b82a",
+    "lambda-0-rank-k10": "dbdbe9982b15688c296920d2a936c142fb2c4ce11dbca897853d02c709b7fd70",
+    "lambda-0-rank-lexicon": "1ddefe8a4447c20732386e50774015ed348778fdcc3623d57b9a102d6a67e9fb",
+    "lambda-0-rank-lexicon-k10": "81fb22b5c47c4208765b2b5ecfafb8ee80547037f0f360888c8a83c1f136c219",
+    "lambda-0-classify-cognate": "58a0c61c6b0f08574f16778cc716aa3256a214c32224d5ba4c57f0d020a41259",
+    "lambda-0-classify-non-cognate": "3f099d7318f1d315086a7146d9aaf0d6aa64c7091112f1c7248f5eedde3f039c",
+    "lambda-1-rank": "fa4746e87a8cf3d138ba587044c402495dc32ac9337e8eaf9b9a3174c88138a2",
+    "lambda-1-rank-k10": "6d009cc73775be34438bc1d6e973ca72922dd46c69f59bf45cc19f9f1bf875eb",
+    "lambda-1-rank-lexicon": "9c94025f30a0ca7ac9d2e9aab6a85910c6691cc53da97e309cc11e04d3f08b5d",
+    "lambda-1-rank-lexicon-k10": "451b80d31feaac9157ac7ae3e986ac8b74fa640c945b99049ae7a33bfe6d5322",
+    "lambda-1-classify-cognate": "2fe102918c4ce63161070d6cba7ada36604e71c7783f2d9cad33caca9a859f76",
+    "lambda-1-classify-non-cognate": "fc725b6174a3a700da26b6da0a0608106be5229828f12dfacf9cc085331ab50b",
 }
 
 QUERY = PAIRS[0].source
@@ -317,14 +341,17 @@ def checks(ws: Workspace):
 
 
 def check_all() -> int:
-    """Run every case; 1 with the first mismatch on stderr, else 0."""
+    """Run every case; 1 with each mismatch on stderr, else 0."""
     with tempfile.TemporaryDirectory() as root:
-        count = 0
+        count = mismatches = 0
         for name, expected, got in checks(Workspace(Path(root))):
-            if got != expected:
-                print(f"{name}: expected {expected}, got {got}", file=sys.stderr)
-                return 1
             count += 1
+            if got != expected:
+                mismatches += 1
+                print(f"{name}: expected {expected}, got {got}", file=sys.stderr)
+    if mismatches:
+        print(f"{mismatches} of {count} cases do not match", file=sys.stderr)
+        return 1
     print(f"all {count} cases match")
     return 0
 

@@ -94,3 +94,22 @@ class TestBadDocuments:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", [1]), ("seed", "7"), ("seed", 7.0), ("seed", True),
+         ("hyperparameters", [1, 2]), ("hyperparameters", "ab"), ("hyperparameters", None)],
+    )
+    def test_bad_metadata(self, key, value):
+        payload = scorer_to_dict(make_scorer(), 42, {"mu": 5.0})
+        payload[key] = value
+        with pytest.raises(DataError, match=key):
+            scorer_from_dict(payload)
+
+    def test_missing_or_null_metadata(self):
+        payload = scorer_to_dict(make_scorer(), 42, {"mu": 5.0})
+        del payload["hyperparameters"]
+        payload["seed"] = None
+        assert scorer_from_dict(payload)[1] == {"seed": None, "hyperparameters": {}}
+        del payload["seed"]
+        assert scorer_from_dict(payload)[1] == {"seed": None, "hyperparameters": {}}

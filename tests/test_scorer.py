@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import cognatekit.error_model as error_model_module
 import cognatekit.scorer as scorer_module
 
 from cognatekit import (
@@ -375,6 +376,34 @@ class TestTopK:
         for source, _, _ in triples[:10]:
             rank(source, index, scorer=scorer, k=3)
         assert len(calls) < 10 * 300 / 2
+
+    def test_weight_one_walk_prunes_without_transformation_scores(self, monkeypatch):
+        # at weight 1 each bound is the document's exact score: the walk
+        # stops after the top k, and no transformation score is computed
+        fitted, _ = fitted_scorer()
+        word = "abcdefghijkl"
+        index = build_index([word[:n] for n in range(2, len(word) + 1)], TWO_END)
+        query = shingle(word, TWO_END)
+        scorer = CombinedScorer(
+            ScoreConfig(1.0, RankerParams("dirichlet"), "per_query_minmax"),
+            fitted.error_model,
+            index,
+        )
+        scores = scorer.score_candidates(query, index)
+        assert len(set(scores)) == len(index)
+        ranks = [sorted(scores, reverse=True).index(score) + 1 for score in scores]
+        calls = []
+        real_score = ErrorModel.transformation_score
+        real_count_seq = error_model_module._count_seq
+        monkeypatch.setattr(
+            ErrorModel, "transformation_score", lambda *a: calls.append(a) or real_score(*a)
+        )
+        monkeypatch.setattr(
+            error_model_module, "_count_seq", lambda *a: calls.append(a) or real_count_seq(*a)
+        )
+        assert len(scorer.score_top(query, index, 3)) < len(index)
+        assert [scorer.target_rank(query, index, w) for w in index.words] == ranks
+        assert calls == []
 
 
 class TestLearnThreshold:
