@@ -115,6 +115,14 @@ def _fixed_from_flags(args) -> dict:
     return fixed
 
 
+def _reject_unread(args, flags: dict, option: str) -> None:
+    """Exit 1 naming the first of ``flags`` (dest: flag) given, as ``option`` does not read it."""
+    for dest, flag in flags.items():
+        value = getattr(args, dest)
+        if value is not None and value is not False:  # False: a store_true flag left off
+            raise _UsageError(f"{flag} is not read with {option}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="cognatekit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cognatekit {__version__}")
@@ -195,7 +203,7 @@ def _cmd_train(args) -> int:
     resolved = tune(shingled, args.ranker, fixed=fixed, folds=args.folds, seed=args.seed,
                     objective=args.objective)
     scorer = fit_pipeline(shingled, args.ranker, resolved, threshold)
-    hyperparameters = {key: resolved[key] for key in resolved}
+    hyperparameters = dict(resolved)
     hyperparameters["threshold"] = scorer.config.threshold
     save_model(args.out, scorer, args.seed, hyperparameters)
     print(f"model written to {args.out}")
@@ -215,11 +223,9 @@ def _cmd_classify(args) -> int:
 def _cmd_rank(args) -> int:
     if args.model is None and args.lexicon is None:
         raise _UsageError("rank needs --model and/or --lexicon")
-    flags = {"ranker": "--ranker", "mu": "--mu", "k1": "--k1", "b": "--b"}
-    given = [flag for key, flag in flags.items() if getattr(args, key) is not None]
     if args.model is not None:
-        if given:
-            raise _UsageError(f"{given[0]} is not read with --model")
+        _reject_unread(args, {"ranker": "--ranker", "mu": "--mu", "k1": "--k1", "b": "--b"},
+                       "--model")
         scorer, _ = load_model(args.model)
         config = scorer.shingler_config
         if args.lexicon is not None:
@@ -248,12 +254,8 @@ def _cmd_eval(args) -> int:
     if args.model is not None and args.method is not None:
         raise _UsageError("--model and --method are mutually exclusive")
     if args.model is not None or args.method is not None:
-        pinned = [flag for key, flag in _PIN_FLAGS.items() if getattr(args, key) is not None]
-        if args.no_tune:
-            pinned.append("--no-tune")
-        if pinned:
-            option = "--model" if args.model is not None else "--method"
-            raise _UsageError(f"{pinned[0]} is not read with {option}")
+        _reject_unread(args, {**_PIN_FLAGS, "no_tune": "--no-tune"},
+                       "--model" if args.model is not None else "--method")
     fixed = _fixed_from_flags(args)
     pairs = load_dataset(args.dataset)
     extra = load_lexicon(args.lexicon) if args.lexicon else None

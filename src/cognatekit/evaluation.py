@@ -21,22 +21,22 @@ Training words are shingled, and cognate graphs built, once per run:
 word's set and each distinct cognate's edges, and both tunes and both
 fits read it.  Test words are shingled when they are classified or
 ranked.  Tuning runs fold by fold: each fold fits its error model,
-builds the rows its grid points read (sims per (mu, k1, b),
-transformation scores per (alpha, power)), scores every grid
-combination and is dropped, so one fold's rows are alive at a time.
-A combination that reads the same parameter values as an earlier one
-(weight 0 ignores mu/k1/b, weight 1 ignores alpha/power) is skipped, as
-it could only tie.  The accuracy tune scores a count sequence per pair,
-once per distinct sequence and (alpha, power).  The MRR tune ranks
-each validation cognate's target among all training targets, so it
-reads count histograms from the postings instead: one certified
-interval per distinct histogram and (alpha, power) decides most ranks,
-and a document's count sequence is built, once, only where an interval
-cannot (at weight 0, where it reaches the target's score; above weight
-0, where the walk ``eval_mrr`` uses reaches, bounded by the largest
-interval end; at weight 1 the walk reads none).  Every float compared is
-computed by the same expressions in the same order as a model trained
-on the fold, so results are equal.
+scores every grid combination and is dropped.  A combination that reads
+the same parameter values as an earlier one (weight 0 ignores mu/k1/b,
+weight 1 ignores alpha/power) is skipped, as it could only tie.  The
+accuracy tune builds a fold's rows (sims per (mu, k1, b), scores per
+(alpha, power) of each distinct count sequence), one fold at a time.
+The MRR tune ranks each validation cognate's target among all training
+targets, one query at a time under every combination, walking the lazy
+order of :func:`~cognatekit.ranking.sim_order` that ``eval_mrr`` walks.
+It reads count histograms from the postings: one certified interval per
+distinct histogram and (alpha, power) decides most ranks, and a
+document's count sequence is built, once per query, only where an
+interval cannot (at weight 0, where it reaches the target's score;
+above weight 0, where the walk reaches, bounded by the largest interval
+end; at weight 1 the walk reads none).  Every float compared is computed
+by the same expressions in the same order as a model trained on the
+fold, so results are equal.
 
 A system is anything with the two methods the experiments read:
 ``classify(source, target) -> bool`` and ``target_rank(query, lexicon,
@@ -50,12 +50,12 @@ every report is built by :func:`evaluate`.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, replace
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .baselines import baseline_similarity
@@ -76,7 +76,7 @@ from .ranking import (
     _read_lines,
     _sims,
     build_index,
-    sim_all,
+    sim_order,
     target_rank,
 )
 from .scorer import (
@@ -362,6 +362,11 @@ def _sim_keys(combos: Sequence[dict], wanted) -> list[tuple]:
     ))
 
 
+def _points(combos: Sequence[dict]) -> list[tuple]:
+    """The distinct (alpha, power) of the combos below weight 1, the ones that read them."""
+    return list(dict.fromkeys((c["alpha"], c["power"]) for c in combos if c["sim_weight"] < 1.0))
+
+
 def _trans_rows(model, rows, combos: Sequence[dict]) -> dict[tuple, list[list[float]]]:
     """Rows of count sequences scored at each (alpha, power) a combo below weight 1 reads.
 
@@ -369,7 +374,7 @@ def _trans_rows(model, rows, combos: Sequence[dict]) -> dict[tuple, list[list[fl
     sequence is scored once per grid point with ``model``'s table there,
     so tuning and a model trained on the same positives agree.
     """
-    points = dict.fromkeys((c["alpha"], c["power"]) for c in combos if c["sim_weight"] < 1.0)
+    points = _points(combos)
     if not points:
         return {}
     ids: dict[tuple, int] = {}
@@ -440,75 +445,53 @@ def _bounded_rank(words, target, lows, highs, trans) -> int:
 def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[float]]:
     """Each combo's MRR of the validation cognates ``queries`` over ``index``.
 
-    ``None`` when the fold has no validation cognate.  Sims are
-    normalized per query.  Transformation scores are bounded from each
-    document's count histogram, one interval per distinct histogram and
-    (alpha, power), and computed exactly, from one count list per
-    (query, document), only where a rank depends on them: at weight 0
-    where an interval reaches the target's score, and at weights
-    strictly between 0 and 1 where the walk of :mod:`cognatekit.scorer`
-    reaches, bounded by the row's largest interval end.  At weight 1 the
-    walk reads the sims alone.
+    ``None`` when the fold has no validation cognate.  Each query is
+    ranked under every combo before the next, from its own state: per
+    (mu, k1, b) its normalized sims and the lazy order of
+    :func:`~cognatekit.ranking.sim_order`, read as far as the farthest
+    walk and replayed by every walk; per (alpha, power) its
+    transformation scores, bounded per distinct count histogram and
+    computed exactly, from one count list per document, only where a
+    rank depends on them: at weight 0 where an interval reaches the
+    target's score, and above it where the walk of
+    :mod:`cognatekit.scorer` reaches, bounded by the largest interval end.
     """
     if not queries:
         return None
-    sources = [sets[p.source] for p in queries]
-    norms = {}
-    for mu, k1, b in _sim_keys(combos, lambda weight: weight > 0.0):
-        params = RankerParams(function, k1=k1, b=b, mu=mu)
-        rows = norms[mu, k1, b] = []
-        for source in sources:
-            raw = sim_all(source, index, params)
-            rows.append(_normalize(raw, min(raw), max(raw)))
-    orders = {
-        key: [sorted(range(len(row)), key=row.__getitem__, reverse=True) for row in rows]
-        for key, rows in norms.items()
-    }
-    points = dict.fromkeys((c["alpha"], c["power"]) for c in combos if c["sim_weight"] < 1.0)
-    zero = {(c["alpha"], c["power"]) for c in combos if c["sim_weight"] == 0.0}
+    keys = _sim_keys(combos, lambda weight: weight > 0.0)
+    sim_params = {(mu, k1, b): RankerParams(function, k1=k1, b=b, mu=mu) for mu, k1, b in keys}
+    points = _points(combos)
     tables = [replace(model, alpha=alpha, power=power)._table for alpha, power in points]
     nested, docs, words = model._nested, index.docs, index.words
     columns = {count: tuple(table[count] for table in tables) for count in model._table}
-    # per query: the exact score, the largest interval end, the rank at weight 0
-    trans = {point: [] for point in points}
-    intervals: dict[tuple, tuple] = {}  # by histogram: a lower bound per table, then an upper
-    histogram_rows = _count_histograms(sources, index, nested) if points else ()
+    intervals = functools.cache(lambda h: _mean_bounds(*h, columns))  # lows, then highs
+    sources = [sets[p.source] for p in queries]
+    histogram_rows = _count_histograms(sources, index, nested) if points else itertools.repeat(())
+    reciprocals: list[list[float]] = [[] for _ in combos]
     for p, source, histograms in zip(queries, sources, histogram_rows):
-        for histogram in histograms:
-            if histogram not in intervals:
-                intervals[histogram] = _mean_bounds(*histogram, columns)
-        rows = [intervals[histogram] for histogram in histograms]
-        # one count list per (query, document), built on first use
+        walks = {}  # per (mu, k1, b): the normalized sims, and the order every walk replays
+        for key, params in sim_params.items():
+            raws, lo, hi, order = sim_order(source, index, params)
+            walks[key] = (_normalize(raws, lo, hi).__getitem__, itertools.tee(order, 1)[0])
+        bounds = list(zip(*map(intervals, histograms)))  # per table its lows, then its highs
+        # one count list per document, built on first use
         seq = functools.cache(lambda i, source=source: _count_seq(source, docs[i][1], nested))
-        for j, (point, table) in enumerate(zip(points, tables)):
-            highs = list(map(itemgetter(len(tables) + j), rows))
-            exact = functools.cache(lambda i, table=table, seq=seq: _mean_score(seq(i), table))
-            rank = None
-            if point in zero:
-                lows = list(map(itemgetter(j), rows))
-                rank = _bounded_rank(words, p.target, lows, highs, exact)
-            trans[point].append((exact, max(highs), rank))
-    intervals.clear()  # the combos read only exact scores, ceilings and ranks
-    scores = []
-    for combo in combos:
-        weight = combo["sim_weight"]
-        trans_key = (combo["alpha"], combo["power"])
-        if weight == 0.0:  # the transformation scores decide alone
-            ranks = [rank for _, _, rank in trans[trans_key]]
-        else:
-            sim_key = (combo["mu"], combo["k1"], combo["b"])
+        trans = {}  # per (alpha, power): the bounds, the exact score and the ceiling
+        for point, table, lows, highs in zip(points, tables, bounds, bounds[len(points):]):
+            exact = functools.cache(lambda i, table=table: _mean_score(seq(i), table))
+            trans[point] = (lows, highs, exact, max(highs))
+        for combo, kept in zip(combos, reciprocals):
+            weight = combo["sim_weight"]
             # at weight 1 the walk reads no exact score and no ceiling
-            parts = trans[trans_key] if weight < 1.0 else itertools.repeat((None, None, None))
-            ranks = [
-                _walked_rank(
-                    weight, words, p.target, order, norm_row.__getitem__, exact, ceiling
-                )
-                for p, norm_row, order, (exact, ceiling, _) in zip(
-                    queries, norms[sim_key], orders[sim_key], parts
-                )
-            ]
-        scores.append(_mean([1.0 / r for r in ranks]))
-    return scores
+            lows, highs, exact, ceiling = trans.get((combo["alpha"], combo["power"]), (None,) * 4)
+            if weight == 0.0:  # the transformation scores decide alone
+                rank = _bounded_rank(words, p.target, lows, highs, exact)
+            else:
+                norm, order = walks[combo["mu"], combo["k1"], combo["b"]]
+                walk = copy.copy(order)  # a replay from the first id
+                rank = _walked_rank(weight, words, p.target, walk, norm, exact, ceiling)
+            kept.append(1.0 / rank)
+    return [_mean(kept) for kept in reciprocals]
 
 
 def _check_folds(folds: int) -> None:

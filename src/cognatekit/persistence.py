@@ -102,14 +102,22 @@ def scorer_from_dict(payload: dict) -> tuple[CombinedScorer, dict]:
         raise DataError(f"malformed model document: {exc}") from exc
 
 
+def _write(path, kind: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a DataError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {kind} file {path}: {exc}") from exc
+
+
 def save_model(
     path,
     scorer: CombinedScorer,
     seed: int,
     hyperparameters: Optional[dict] = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(scorer_to_dict(scorer, seed, hyperparameters)))
+    _write(path, "model", canonical_json(scorer_to_dict(scorer, seed, hyperparameters)))
 
 
 def load_model(path) -> tuple[CombinedScorer, dict]:
@@ -134,5 +142,4 @@ def report_to_json(reports, seed: int) -> str:
 
 
 def save_report(path, reports, seed: int) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report_to_json(reports, seed))
+    _write(path, "report", report_to_json(reports, seed))

@@ -73,10 +73,22 @@ RANKING_FUNCTIONS = (
 # subnormal mu would make the first log(0) and the second inf.
 MIN_MU = 1e-6
 
+# Largest BM25 k1.  A token's idf is at most ln(2N + 2) < 50, and
+# |D| / avgdl <= |D| * N < 1e20 (avgdl >= 1 / N once any document holds a
+# token) for any N documents and word of |D| tokens that fit in memory.
+# So with k1 <= 1e100, idf * (k1 + 1) and k1 * (1 - b + b * |D| / avgdl)
+# stay below 1e122, and so does a query's sum of weights, far inside the
+# float range.  A k1 near the largest float overflows them: a score of
+# inf, or inf / inf = nan.
+MAX_K1 = 1e100
+
 
 @dataclass(frozen=True)
 class RankerParams:
-    """Ranking-function choice and its parameters; ``mu`` is at least :data:`MIN_MU`."""
+    """Ranking-function choice and its parameters.
+
+    ``k1`` is in [0, :data:`MAX_K1`] and ``mu`` is at least :data:`MIN_MU`.
+    """
 
     function: str = "dirichlet"
     k1: float = 1.2
@@ -88,8 +100,8 @@ class RankerParams:
             raise ConfigError(
                 f"unknown ranking function {self.function!r}; expected one of {RANKING_FUNCTIONS}"
             )
-        if not 0.0 <= self.k1 < math.inf:
-            raise ConfigError(f"k1 must be finite and >= 0, got {self.k1}")
+        if not 0.0 <= self.k1 <= MAX_K1:
+            raise ConfigError(f"k1 must be in [0, {MAX_K1}], got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ConfigError(f"b must be in [0, 1], got {self.b}")
         if not MIN_MU <= self.mu < math.inf:

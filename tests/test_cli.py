@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and file contracts."""
 
 import json
+import math
 import sys
 from collections import Counter
 
@@ -182,6 +183,9 @@ class TestClassifyCommand:
             (raising("total_count"), "rank"),
             # classify fails on missing bounds anyway; rank --model does not read them
             (setting((("sim_min",), None), (("sim_max",), None)), "rank"),
+            # above the largest k1, a bm25 score overflows; the other rankers check it too
+            (setting((("score_config", "ranker", "k1"), 1.7e308)), "classify"),
+            (setting((("score_config", "ranker", "k1"), 1.7e308)), "rank"),
         ],
         ids=[
             "gram-size-1", "nan-sim-min", "empty-index", "index-word-with-space",
@@ -189,7 +193,7 @@ class TestClassifyCommand:
             "bool-lambda", "string-threshold", "string-q", "bool-bounds", "bool-sim-min",
             "fractional-edge-count", "float-distinct-edges", "distinct-edges-plus-one",
             "total-count-plus-one", "rank-distinct-edges-plus-one", "rank-total-count-plus-one",
-            "null-bounds",
+            "null-bounds", "huge-k1", "rank-huge-k1",
         ],
     )
     def test_bad_model_values_are_data_errors(self, model_file, edit, command, capsys):
@@ -275,6 +279,21 @@ class TestRankCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "mu" in captured.err
+
+    @pytest.mark.parametrize("b", ["0", "1"])
+    def test_k1_above_its_maximum_is_usage_error(self, tmp_path, b, capsys):
+        # printed "abc inf" at --b 0 and "abc nan" at --b 1
+        lexicon = tmp_path / "lex4.txt"
+        lexicon.write_text("abc\nabd\nzz\nabcabc\n")
+        argv = ["rank", "abc", "--lexicon", str(lexicon), "--ranker", "bm25", "--b", b]
+        assert main(argv + ["--k1", "1.7e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k1 must be in [0, 1e+100], got 1.7e+308\n"
+        assert main(argv + ["--k1", "1e100"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all(math.isfinite(float(line.split("\t")[1])) for line in lines)
 
     def test_empty_lexicon_is_data_error(self, tmp_path, capsys):
         lexicon = tmp_path / "lex.txt"
@@ -476,6 +495,20 @@ class TestExitCodes:
         argv = ["train", "--dataset", str(synthetic_dataset_file), "--out", str(out)]
         assert main(argv + ["--no-tune", "--folds", "0"]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_unwritable_out_is_data_error(self, command, where, tmp_path, capsys):
+        # the work runs, then writing its file fails: exit 2 like an unreadable input
+        dataset = tmp_path / "small.tsv"
+        pairs = make_hard_synthetic_pairs(12, 12)
+        dataset.write_text("".join(f"{p.source}\t{p.target}\t{int(p.label)}\n" for p in pairs))
+        out = tmp_path / "none" / "out.json" if where == "missing-directory" else tmp_path
+        flags = {"train": ["--no-tune"], "eval": ["--no-tune"], "ablate": ["--folds", "2"]}
+        assert main([command, "--dataset", str(dataset), "--out", str(out)] + flags[command]) == 2
+        kind = "model" if command == "train" else "report"
+        assert capsys.readouterr().err.startswith(f"error: cannot write {kind} file {out}: ")
+        assert not (tmp_path / "none").exists()
 
     def test_missing_dataset_file_is_data_error(self, tmp_path):
         assert main(["eval", "--dataset", str(tmp_path / "none.tsv")]) == 2

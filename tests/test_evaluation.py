@@ -37,6 +37,7 @@ from cognatekit import (
 from cognatekit.baselines import BASELINE_METHODS, baseline_similarity
 from cognatekit.error_model import ErrorModel
 from cognatekit.evaluation import (
+    DEFAULT_GRIDS,
     GRID_KEYS,
     _bounded_rank,
     _effective_key,
@@ -517,6 +518,43 @@ class TestTune:
         tuned = tune(shingled, "dirichlet", fixed={"sim_weight": 1.0}, objective="mrr")
         assert tuned["objective"] == "mrr" and tuned["sim_weight"] == 1.0
         assert calls == histograms == []
+
+    @staticmethod
+    def counted_orders(monkeypatch):
+        """Per ``sim_order`` call tune makes, a one-item list: the ids pulled from its order."""
+        pulled = []
+        real = evaluation.sim_order
+
+        def counting(query, index, params):
+            raws, lo, hi, order = real(query, index, params)
+            count = [0]
+            pulled.append(count)
+
+            def counted():
+                for i in order:
+                    count[0] += 1
+                    yield i
+
+            return raws, lo, hi, counted()
+
+        monkeypatch.setattr(evaluation, "sim_order", counting)
+        return pulled
+
+    @pytest.mark.parametrize("grids", [None, {"sim_weight": [0.0, 0.4, 1.0]}],
+                             ids=["weight-1-only", "mixed-weights"])
+    def test_mrr_tune_reads_one_lazy_order_per_query_and_mu(self, grids, monkeypatch):
+        # every walk of a query replays one order; at weight 1 the walks
+        # stop after a few ids, so the order is never read to its end
+        pulled = self.counted_orders(monkeypatch)
+        pairs = make_hard_synthetic_pairs(40, 40)
+        use_error_model = grids is not None
+        tune(ShingledPairs(pairs, TWO_END), "dirichlet", use_error_model=use_error_model,
+             grids=grids, objective="mrr")
+        queries = sum(p.label for p in pairs)  # each cognate validates once
+        documents = len({p.target for p in pairs})
+        assert len(pulled) == queries * len(DEFAULT_GRIDS["mu"])
+        if not use_error_model:
+            assert all(0 < count < documents for count, in pulled)
 
     @staticmethod
     def counted_indexes(monkeypatch):

@@ -150,6 +150,17 @@ CASES = {
         ["train", "--objective", "mrr", "--lambda", "1"],
         "d45364322425224b1b1e469f0db37d3eb18ec17e1092f5768c73005a25dfad20",
     ),
+    # raw sims that tie heavily across word sizes: the walks' order among ties
+    "train-mrr-intersection": (
+        "hard",
+        ["train", "--objective", "mrr", "--ranker", "intersection"],
+        "d9ffb61cc10726709e6a76957910d859a326758cce9e020927b4693dfcfb2f6c",
+    ),
+    "train-mrr-dice-plain": (
+        "hard",
+        ["train", "--objective", "mrr", "--ranker", "dice", "--mode", "plain"],
+        "75feab74babb5fd6dcf6533ce0099bc9f0676026cba306e91f0eb341bef0d3b8",
+    ),
 }
 
 

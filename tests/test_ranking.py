@@ -18,6 +18,7 @@ from cognatekit import (
     sim,
 )
 from cognatekit.ranking import (
+    MAX_K1,
     MIN_MU,
     extended_bigram_tokens,
     order_scored,
@@ -193,6 +194,18 @@ class TestSim:
         query = shingle("nuitnacht", PLAIN2)
         scores = sim_all(query, index, RankerParams("dirichlet", mu=MIN_MU))
         assert all(math.isfinite(score) for score in scores)
+
+    def test_k1_at_most_its_maximum(self):
+        # idf * (k1 + 1) overflows near the largest float: inf at b = 0, nan at b = 1
+        for k1 in (math.nextafter(MAX_K1, math.inf), 1.7e308):
+            with pytest.raises(ConfigError, match="k1"):
+                RankerParams("bm25", k1=k1)
+        index = build_index(["abc", "abd", "zz", "abcabc"], PLAIN2)
+        query = shingle("abc", PLAIN2)
+        for b in (0.0, 0.5, 1.0):
+            params = RankerParams("bm25", k1=MAX_K1, b=b)
+            assert all(map(math.isfinite, sim_all(query, index, params)))
+            assert all(math.isfinite(score) for _, score in rank("abc", index, params))
 
 
 class TestSimAll:
