@@ -57,7 +57,7 @@ from .ranking import (
     sim,
 )
 from .scorer import CombinedScorer, ScoreConfig, learn_threshold, train_scorer
-from .shingling import ShingleSet, ShinglerConfig, intersect, normalize_word, shingle
+from .shingling import ShingleSet, ShinglerConfig, normalize_word, shingle
 
 __all__ = [
     "AblationCell",
@@ -89,7 +89,6 @@ __all__ = [
     "eval_mrr",
     "evaluate",
     "fit_pipeline",
-    "intersect",
     "lcsr",
     "learn_threshold",
     "load_dataset",

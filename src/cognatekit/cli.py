@@ -75,11 +75,12 @@ def _shingler_config(args) -> ShinglerConfig:
     return ShinglerConfig(_parse_gram_sizes(args.k), _CLI_MODES[args.mode])
 
 
-_FOLDS_HELP = "cross-validation folds, at least 2; read only when something is tuned"
+_FOLDS_HELP = "cross-validation folds, at least 2 (default: 5); read only when something is tuned"
 
 
 def _add_hyper_flags(parser) -> None:
-    parser.add_argument("--ranker", choices=RANKING_FUNCTIONS, default="dirichlet")
+    parser.add_argument("--ranker", choices=RANKING_FUNCTIONS, default=None,
+                        help="ranking function (default: dirichlet)")
     parser.add_argument("--lambda", dest="sim_weight", type=float, default=None,
                         help="similarity weight in [0,1]; remainder goes to the error model")
     parser.add_argument("--q", dest="power", type=float, default=None,
@@ -92,7 +93,7 @@ def _add_hyper_flags(parser) -> None:
                         help="decision cutoff; learned from training scores when omitted")
     parser.add_argument("--no-tune", action="store_true",
                         help="skip cross-validated tuning and use defaults/flags as-is")
-    parser.add_argument("--folds", type=int, default=5, help=_FOLDS_HELP)
+    parser.add_argument("--folds", type=int, default=None, help=_FOLDS_HELP)
 
 
 _DEFAULTS = {"sim_weight": 0.6, "power": 1.0, "alpha": 1.0, "mu": 10.0, "k1": 1.2, "b": 0.75}
@@ -164,7 +165,13 @@ def build_parser() -> _Parser:
     p_rank.add_argument("--b", type=float, default=None, help=f"default: {_DEFAULTS['b']}")
     _add_shingler_flags(p_rank)
 
-    p_eval = sub.add_parser("eval", help="run both experiments on a dataset")
+    p_eval = sub.add_parser(
+        "eval",
+        help="run both experiments on a dataset",
+        description="With --model or --method nothing is trained: --mode and --k are not "
+        "read, and --ranker, --folds, --lambda, --q, --alpha, --mu, --k1, --b, --threshold "
+        "or --no-tune exits 1.",
+    )
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--model", help="evaluate a saved model instead of training")
     p_eval.add_argument("--method", help="evaluate a baseline: " + ", ".join(BASELINE_METHODS))
@@ -200,9 +207,11 @@ def _cmd_train(args) -> int:
     if not any(p.label for p in train_pairs):
         raise DataError("the training split contains no positive (cognate) pairs")
     shingled = ShingledPairs(train_pairs, _shingler_config(args))
-    resolved = tune(shingled, args.ranker, fixed=fixed, folds=args.folds, seed=args.seed,
+    ranker = args.ranker or "dirichlet"
+    folds = 5 if args.folds is None else args.folds
+    resolved = tune(shingled, ranker, fixed=fixed, folds=folds, seed=args.seed,
                     objective=args.objective)
-    scorer = fit_pipeline(shingled, args.ranker, resolved, threshold)
+    scorer = fit_pipeline(shingled, ranker, resolved, threshold)
     hyperparameters = dict(resolved)
     hyperparameters["threshold"] = scorer.config.threshold
     save_model(args.out, scorer, args.seed, hyperparameters)
@@ -232,12 +241,7 @@ def _cmd_rank(args) -> int:
             index = build_index(load_lexicon(args.lexicon), config)
         else:
             index = scorer.index
-        ranked = rank(
-            args.word,
-            index,
-            scorer=scorer.with_config(normalization="per_query_minmax"),
-            k=args.top,
-        )
+        ranked = rank(args.word, index, scorer=scorer, k=args.top)
     else:
         config = _shingler_config(args)
         index = build_index(load_lexicon(args.lexicon), config)
@@ -254,7 +258,8 @@ def _cmd_eval(args) -> int:
     if args.model is not None and args.method is not None:
         raise _UsageError("--model and --method are mutually exclusive")
     if args.model is not None or args.method is not None:
-        _reject_unread(args, {**_PIN_FLAGS, "no_tune": "--no-tune"},
+        _reject_unread(args, {**_PIN_FLAGS, "no_tune": "--no-tune", "ranker": "--ranker",
+                              "folds": "--folds"},
                        "--model" if args.model is not None else "--method")
     fixed = _fixed_from_flags(args)
     pairs = load_dataset(args.dataset)
@@ -277,8 +282,9 @@ def _cmd_eval(args) -> int:
             system, system, pairs, seed, f"model:{args.model}", hyperparameters, extra
         )
     else:
-        report = run_experiment(pairs, _shingler_config(args), args.ranker, seed=seed,
-                                folds=args.folds, fixed=fixed, extra_lexicon=extra)
+        report = run_experiment(pairs, _shingler_config(args), args.ranker or "dirichlet",
+                                seed=seed, folds=5 if args.folds is None else args.folds,
+                                fixed=fixed, extra_lexicon=extra)
     print(format_report_table([report]))
     print(f"seed: {report.seed}")
     if args.out:

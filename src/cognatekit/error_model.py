@@ -319,11 +319,6 @@ class ErrorModel:
         """
         return _mean_ceiling(self._table, max_tokens * max_tokens)
 
-    def score_words(self, source: str, target: str) -> float:
-        return self.transformation_score(
-            shingle(source, self.config), shingle(target, self.config)
-        )
-
     def to_dict(self) -> dict:
         """JSON-ready representation; lossless round-trip via :func:`model_from_dict`."""
         return {

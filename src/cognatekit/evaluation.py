@@ -264,13 +264,12 @@ class PipelineSystem:
     """A trained :class:`CombinedScorer` as an experiment system.
 
     ``classify`` uses the scorer's trained bounds and threshold;
-    ``target_rank`` normalizes per query over the lexicon, whose index
-    is built once per lexicon.
+    ``target_rank`` normalizes per query over the lexicon, as every
+    scorer ranks, and builds the lexicon's index once.
     """
 
     def __init__(self, scorer: CombinedScorer):
         self.scorer = scorer
-        self._per_query = scorer.with_config(normalization="per_query_minmax")
         self._indexes: dict[tuple, LexiconIndex] = {}
 
     def classify(self, source: str, target: str) -> bool:
@@ -283,7 +282,7 @@ class PipelineSystem:
         index = self._indexes.get(key)
         if index is None:
             index = self._indexes[key] = build_index(lexicon, config)
-        return self._per_query.target_rank(shingle(query, config), index, target)
+        return self.scorer.target_rank(shingle(query, config), index, target)
 
 
 class BaselineSystem:
@@ -355,11 +354,9 @@ def _effective_key(combo: dict) -> tuple:
     return tuple(combo[key] for key in GRID_KEYS)
 
 
-def _sim_keys(combos: Sequence[dict], wanted) -> list[tuple]:
-    """The distinct (mu, k1, b) of the combos whose weight ``wanted`` accepts."""
-    return list(dict.fromkeys(
-        (c["mu"], c["k1"], c["b"]) for c in combos if wanted(c["sim_weight"])
-    ))
+def _sim_keys(combos: Sequence[dict]) -> list[tuple]:
+    """The distinct (mu, k1, b) of the combos above weight 0, the ones that read them."""
+    return list(dict.fromkeys((c["mu"], c["k1"], c["b"]) for c in combos if c["sim_weight"] > 0.0))
 
 
 def _points(combos: Sequence[dict]) -> list[tuple]:
@@ -392,7 +389,7 @@ def _fold_accuracy(sets, model, function, train, val, combos) -> list[float]:
 
     ``sets`` maps each word of the pairs to its shingle set.
     """
-    keys = _sim_keys(combos, lambda weight: weight > 0.0)
+    keys = _sim_keys(combos)
     if keys:
         index = LexiconIndex([sets[p.target] for p in train], model.config)
         both = [(sets[p.source], sets[p.target]) for part in (train, val) for p in part]
@@ -458,7 +455,7 @@ def _fold_mrr(sets, model, function, queries, index, combos) -> Optional[list[fl
     """
     if not queries:
         return None
-    keys = _sim_keys(combos, lambda weight: weight > 0.0)
+    keys = _sim_keys(combos)
     sim_params = {(mu, k1, b): RankerParams(function, k1=k1, b=b, mu=mu) for mu, k1, b in keys}
     points = _points(combos)
     tables = [replace(model, alpha=alpha, power=power)._table for alpha, power in points]

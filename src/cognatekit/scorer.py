@@ -89,7 +89,14 @@ def _check_threshold(threshold: float) -> None:
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Blend weight, ranking function, normalization mode, and threshold."""
+    """Blend weight, ranking function, normalization mode, and threshold.
+
+    Every scorer ranks with the candidate row's own min/max, so
+    ``normalization`` selects only how a single pair is classified:
+    ``trained_minmax`` scales its raw similarity by the bounds learned in
+    training, and under ``per_query_minmax`` a lone pair is its own
+    candidate set and scores the midpoint 0.5.
+    """
 
     sim_weight: float = 0.6
     ranker: RankerParams = field(default_factory=RankerParams)
@@ -146,11 +153,6 @@ class CombinedScorer:
             self.sim_max,
         )
 
-    def _trained_bounds(self) -> tuple[float, float]:
-        if self.sim_min is None or self.sim_max is None:
-            raise TrainingError("normalization bounds were never learned")
-        return self.sim_min, self.sim_max
-
     def combined_score(self, s: ShingleSet, t: ShingleSet) -> float:
         """Blended score of a single pair, in [0, 1].
 
@@ -161,9 +163,11 @@ class CombinedScorer:
         w = self.config.sim_weight
         norms = [0.5]
         if self.config.normalization == "trained_minmax":
-            bounds = self._trained_bounds()
+            if self.sim_min is None or self.sim_max is None:
+                raise TrainingError("normalization bounds were never learned")
             if w > 0.0:
-                norms = _normalize([sim(s, t, self.index, self.config.ranker)], *bounds)
+                raw = sim(s, t, self.index, self.config.ranker)
+                norms = _normalize([raw], self.sim_min, self.sim_max)
         trans = [] if w == 1.0 else [self.error_model.transformation_score(s, t)]
         return _blend(w, norms, trans)[0]
 
@@ -179,12 +183,6 @@ class CombinedScorer:
         if index.config != self.shingler_config:
             raise ConfigError("index does not match the scorer's shingler config")
 
-    def _sim_bounds(self, raws: Sequence[float]) -> tuple[float, float]:
-        """The (lo, hi) that normalize ``raws``: their own min/max, or the trained bounds."""
-        if self.config.normalization == "per_query_minmax":
-            return min(raws), max(raws)
-        return self._trained_bounds()
-
     def score_candidates(self, query: ShingleSet, index: LexiconIndex) -> list[float]:
         """Blended scores for every document of ``index``, in document order."""
         self._check_index(index)
@@ -192,7 +190,7 @@ class CombinedScorer:
         norms = trans = []
         if w > 0.0:
             raws = sim_all(query, index, self.config.ranker)
-            norms = _normalize(raws, *self._sim_bounds(raws))
+            norms = _normalize(raws, min(raws), max(raws))
         if w < 1.0:
             trans = [self.error_model.transformation_score(query, doc) for _, doc in index.docs]
         return _blend(w, norms, trans)
@@ -205,8 +203,6 @@ class CombinedScorer:
         walk reaches are normalized and scored.
         """
         raws, lo, hi, order = sim_order(query, index, self.config.ranker)
-        if self.config.normalization == "trained_minmax":
-            lo, hi = self._trained_bounds()
         model = self.error_model
 
         def norm(i: int) -> float:

@@ -148,15 +148,3 @@ def shingle(word: str, config: ShinglerConfig) -> ShingleSet:
             else:
                 tokens.append(f"{gram}{j}")
     return ShingleSet(tokens, word, config)
-
-
-def intersect(a: ShingleSet, b: ShingleSet) -> ShingleSet:
-    """Token intersection of two sets, preserving ``a``'s order."""
-    if a.config != b.config:
-        raise ConfigError(
-            f"cannot intersect shingle sets built with different configs: "
-            f"{a.config} vs {b.config}"
-        )
-    return ShingleSet(
-        [t for t in a.tokens if t in b.token_set], a.source_word, a.config
-    )

@@ -384,7 +384,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "flag",
         [["--lambda", "0.0"], ["--q", "2"], ["--alpha", "0.5"], ["--mu", "5"], ["--k1", "1.0"],
-         ["--b", "0.5"], ["--threshold", "0.9"], ["--no-tune"]],
+         ["--b", "0.5"], ["--threshold", "0.9"], ["--no-tune"], ["--ranker", "bm25"],
+         ["--folds", "9"]],
         ids=lambda flag: flag[0],
     )
     @pytest.mark.parametrize("option", ["--model", "--method"])

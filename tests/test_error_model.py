@@ -206,20 +206,21 @@ class TestEdgeProb:
 class TestTransformationScore:
     def test_single_edge_graph(self):
         model = train_error_model([("mesia", "messia")], CONFIG, alpha=1.0, power=1.0)
-        score = model.score_words("mesia", "messia")
+        score = model.transformation_score(two_end("mesia"), two_end("messia"))
         assert score == pytest.approx(2 / 3, abs=1e-15)
 
     def test_constant_probabilities_give_their_value(self):
         # both words unseen: every edge takes the smoothing floor
         model = train_error_model([("mesia", "messia")], CONFIG, alpha=1.0, power=1.0)
         floor = edge_prob(model, ("x", "y"))
-        assert model.score_words("vod", "gri") == pytest.approx(floor, abs=1e-15)
+        score = model.transformation_score(two_end("vod"), two_end("gri"))
+        assert score == pytest.approx(floor, abs=1e-15)
 
     def test_large_power_drives_score_to_zero(self):
         base = train_error_model([("mesia", "messia")], CONFIG)
         strong = train_error_model([("mesia", "messia")], CONFIG, power=500.0)
-        assert strong.score_words("mesia", "messia") < 1e-30
-        assert base.score_words("mesia", "messia") > 0.5
+        assert strong.transformation_score(two_end("mesia"), two_end("messia")) < 1e-30
+        assert base.transformation_score(two_end("mesia"), two_end("messia")) > 0.5
 
     def test_score_in_unit_interval(self):
         rng = random.Random(16)
@@ -227,15 +228,15 @@ class TestTransformationScore:
         model = train_error_model(pairs, CONFIG, alpha=1.0, power=0.5)
         for _ in range(200):
             a, b = random_word(rng), random_word(rng)
-            assert 0.0 < model.score_words(a, b) <= 1.0
+            assert 0.0 < model.transformation_score(two_end(a), two_end(b)) <= 1.0
 
     def test_non_increasing_in_power(self):
         rng = random.Random(17)
         pairs = [(random_word(rng), random_word(rng)) for _ in range(20)]
         for _ in range(100):
-            a, b = random_word(rng), random_word(rng)
+            s, t = two_end(random_word(rng)), two_end(random_word(rng))
             scores = [
-                train_error_model(pairs, CONFIG, power=power).score_words(a, b)
+                train_error_model(pairs, CONFIG, power=power).transformation_score(s, t)
                 for power in (0.25, 0.5, 1.0, 2.0, 4.0)
             ]
             assert all(x >= y for x, y in zip(scores, scores[1:]))
@@ -281,8 +282,8 @@ class TestSerialization:
         assert clone.power == model.power
         assert clone.config == model.config
         for _ in range(50):
-            a, b = random_word(rng), random_word(rng)
-            assert clone.score_words(a, b) == model.score_words(a, b)
+            s, t = two_end(random_word(rng)), two_end(random_word(rng))
+            assert clone.transformation_score(s, t) == model.transformation_score(s, t)
 
     def test_placeholder_edges_survive(self):
         model = train_error_model([("a", "a")], CONFIG)

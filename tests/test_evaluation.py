@@ -399,10 +399,9 @@ class TestTune:
             for combo, score in zip(combos, scores):
                 scorer = fit_pipeline(ShingledPairs(train, TWO_END), function, combo)
                 assert score == eval_mrr(PipelineSystem(scorer), queries, index.words)[0]
-                per_query = scorer.with_config(normalization="per_query_minmax")
                 total = 0.0
                 for p in queries:
-                    ranked = [word for word, _ in rank(p.source, index, scorer=per_query)]
+                    ranked = [word for word, _ in rank(p.source, index, scorer=scorer)]
                     total += 1.0 / (ranked.index(p.target) + 1)
                 assert score == total / len(queries)
 
@@ -791,19 +790,16 @@ class TestTargetRank:
 
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
     def test_pipeline_system(self, synthetic_pairs, sim_weight):
-        # the system normalizes per query; its scorer, with trained bounds,
-        # walks the same way and is checked too
+        # the system ranks with its scorer, which normalizes per query
         for function in RANKING_FUNCTIONS:
             system = self.pipeline(synthetic_pairs, sim_weight, function)
-            trained = system.scorer
-            per_query = trained.with_config(normalization="per_query_minmax")
+            scorer = system.scorer
             rng = random.Random(f"pipeline{sim_weight}{function}")
             for query, lexicon, target in self.cases(rng):
                 index = build_index(lexicon, TWO_END)
-                expected = self.position(rank(query, index, scorer=per_query), target)
+                expected = self.position(rank(query, index, scorer=scorer), target)
                 assert system.target_rank(query, lexicon, target) == expected
-                expected = self.position(rank(query, index, scorer=trained), target)
-                assert trained.target_rank(shingle(query, TWO_END), index, target) == expected
+                assert scorer.target_rank(shingle(query, TWO_END), index, target) == expected
 
     @pytest.mark.parametrize("method", BASELINE_METHODS)
     def test_baseline_system(self, synthetic_pairs, method):

@@ -233,6 +233,48 @@ MODEL_CASES = {
     "lambda-1-classify-non-cognate": "fc725b6174a3a700da26b6da0a0608106be5229828f12dfacf9cc085331ab50b",
 }
 
+# eval --model over the hard dataset: the report file, the model's path made a placeholder
+EVAL_MODEL_CASES = {
+    "no-tune-eval": "59757bf8a9916c6ac3b1bcb0fb46b6592b29af3b10fff0d29d48ce56710ad47b",
+    "accuracy-eval": "95c9048d63957419f84dc71329c499cd5fdd9f4c941747ed977ccb0db7f993ab",
+    "mrr-eval": "29afe7a3de20d439ee5891a1adb1eb4a603ed2e2d893ae54ddd112485956960c",
+    "lambda-0-eval": "7014ff64f5044fa83c05ccd98f741d6033eaff735a5c916410b24d155595b70f",
+    "lambda-1-eval": "36f9f9ad19d79f83c5435d428d16a1de5eabedb130dc8e5b81f0811ccc17f078",
+}
+
+# shingle: stdout and exit code of one word's split set
+SHINGLE_CASES = {
+    "shingle": (
+        ["Rosmarin"],
+        "113d40fcf8f32857b24c0bd18d81377804d90ff1d2778c368dbae08d1c4208c8",
+    ),
+    "shingle-one-end-k23": (
+        ["rosmarin", "--mode", "one-end", "--k", "2,3"],
+        "e03ddc2c5019b74b16f69a36b0b51421deec0f9dd04d9d7efe3f57f9e522f883",
+    ),
+    "shingle-plain-k3": (
+        ["rosmarin", "--mode", "plain", "--k", "3"],
+        "f05aa80a166cb6a2a5c7a03709992b73863322f1879f9bc61738bc37b3dedb45",
+    ),
+    # a repeated gram keeps its first occurrence, numbered among the distinct grams
+    "shingle-repeated-gram": (
+        ["banana"],
+        "60976b3587f5ba93483172851b18d0aa8b522bdf9c4fa25ec69a9acd0d3ac792",
+    ),
+    "shingle-repeated-gram-plain": (
+        ["banana", "--mode", "plain"],
+        "c44646f4012ee9027944653d57d4772cf09c28c03671008436111e846a89b4cf",
+    ),
+    "shingle-non-ascii": (
+        ["Ärger"],
+        "551fbffebd54094566948048da191b37f6a92e12ca75e8066e533114a8da56c4",
+    ),
+    "shingle-digit": (
+        ["r2d2"],
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+}
+
 QUERY = PAIRS[0].source
 COGNATE = next(p for p in PAIRS if p.label)
 NON_COGNATE = next(p for p in PAIRS if not p.label)
@@ -320,6 +362,20 @@ def rank_model_digest(ws: Workspace, model: str, with_lexicon: bool, top) -> str
     return stdout_digest(argv)
 
 
+def eval_model_digest(ws: Workspace, model: str) -> str:
+    path = ws.model(model)
+    out = ws.root / f"{model}-eval.json"
+    argv = ["eval", "--dataset", str(ws.datasets["hard"]), "--model", str(path), "--out", str(out)]
+    code, _ = run(argv)
+    if code != 0:
+        return f"exit code {code}"
+    return hashlib.sha256(out.read_bytes().replace(str(path).encode(), b"MODEL")).hexdigest()
+
+
+def shingle_digest(name: str) -> str:
+    return stdout_digest(["shingle"] + SHINGLE_CASES[name][0])
+
+
 def classify_digest(ws: Workspace, model: str, pair) -> str:
     return stdout_digest(["classify", pair.source, pair.target, "--model", str(ws.model(model))])
 
@@ -347,6 +403,10 @@ def checks(ws: Workspace):
         for pair in (COGNATE, NON_COGNATE):
             name = classify_name(model, pair)
             yield name, MODEL_CASES[name], classify_digest(ws, model, pair)
+        name = f"{model}-eval"
+        yield name, EVAL_MODEL_CASES[name], eval_model_digest(ws, model)
+    for name, (_, digest) in SHINGLE_CASES.items():
+        yield name, digest, shingle_digest(name)
     for name, (_, code) in ZERO_FOLDS_CASES.items():
         yield f"train-zero-folds-{name}", code, zero_folds_code(ws, name)
 
@@ -401,6 +461,16 @@ def test_rank_model_digest(model, with_lexicon, top, workspace):
 @pytest.mark.parametrize("pair", [COGNATE, NON_COGNATE], ids=["cognate", "non-cognate"])
 def test_classify_digest(model, pair, workspace):
     assert classify_digest(workspace, model, pair) == MODEL_CASES[classify_name(model, pair)]
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_eval_model_digest(model, workspace):
+    assert eval_model_digest(workspace, model) == EVAL_MODEL_CASES[f"{model}-eval"]
+
+
+@pytest.mark.parametrize("name", list(SHINGLE_CASES))
+def test_shingle_digest(name):
+    assert shingle_digest(name) == SHINGLE_CASES[name][1]
 
 
 @pytest.mark.parametrize("name", list(ZERO_FOLDS_CASES))

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from cognatekit import DataError, RankerParams, ShinglerConfig
+from cognatekit import DataError, RankerParams, ShinglerConfig, rank, shingle
+from cognatekit.cli import main
 from cognatekit.persistence import (
     canonical_json,
     load_model,
@@ -15,6 +16,7 @@ from cognatekit.persistence import (
 )
 
 from conftest import random_word, train_on_words
+from synthetic import make_hard_synthetic_pairs
 
 TWO_END = ShinglerConfig((2,), "two_end")
 
@@ -67,6 +69,32 @@ class TestModelRoundTrip:
         scorer = make_scorer()
         clone, _ = scorer_from_dict(json.loads(canonical_json(scorer_to_dict(scorer, 1))))
         assert clone.score_pair("mesia", "messia") == scorer.score_pair("mesia", "messia")
+
+
+class TestLoadedModelRanking:
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]], ids=["lambda-0.6", "lambda-1"])
+    def test_ranks_like_its_per_query_copy(self, tmp_path, flags):
+        # a saved model classifies with its trained bounds, and ranks with
+        # the row's own min/max like every scorer
+        pairs = make_hard_synthetic_pairs(40, 40)
+        dataset = tmp_path / "pairs.tsv"
+        lines = "".join(f"{p.source}\t{p.target}\t{int(p.label)}\n" for p in pairs)
+        dataset.write_text(lines, encoding="utf-8")
+        path = tmp_path / "model.json"
+        argv = ["train", "--dataset", str(dataset), "--out", str(path), "--no-tune"]
+        assert main(argv + flags) == 0
+        scorer, _ = load_model(path)
+        assert scorer.config.normalization == "trained_minmax"
+        per_query = scorer.with_config(normalization="per_query_minmax")
+        index = scorer.index
+        for p in pairs[:10]:
+            for k in (None, 10):
+                expected = rank(p.source, index, scorer=per_query, k=k)
+                assert rank(p.source, index, scorer=scorer, k=k) == expected
+            query = shingle(p.source, scorer.shingler_config)
+            for target in index.words[:10]:
+                expected = per_query.target_rank(query, index, target)
+                assert scorer.target_rank(query, index, target) == expected
 
 
 class TestBadDocuments:

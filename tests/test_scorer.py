@@ -27,8 +27,8 @@ from cognatekit import (
     train_scorer,
 )
 from cognatekit.error_model import ErrorModel
-from cognatekit.ranking import RANKING_FUNCTIONS, sim_all
-from cognatekit.scorer import NORMALIZATION_MODES, _blend, _normalize
+from cognatekit.ranking import RANKING_FUNCTIONS, sim_all, sim_order
+from cognatekit.scorer import _blend, _normalize
 
 from conftest import random_word, train_on_words
 
@@ -206,6 +206,26 @@ class TestRankingConsistency:
             raw = [w for w, _ in rank(query, index, RankerParams("bm25"))]
             assert blended == raw
 
+    @pytest.mark.parametrize("sim_weight", [0.4, 1.0])
+    def test_trained_mode_ranks_like_its_per_query_copy(self, sim_weight):
+        # trained bounds classify; every scorer ranks with the row's own min/max
+        fitted, triples = fitted_scorer(sim_weight=sim_weight)
+        assert fitted.config.normalization == "trained_minmax"
+        per_query = fitted.with_config(normalization="per_query_minmax")
+        rng = random.Random(f"trained{sim_weight}")
+        for lexicon in TestTopK.lexicons(rng):
+            index = build_index(lexicon, TWO_END)
+            word = rng.choice([rng.choice(lexicon), rng.choice(triples)[0], "ab", "q"])
+            query = shingle(word, TWO_END)
+            for k in (None, 1, 3, len(index)):
+                assert rank(word, index, scorer=fitted, k=k) == rank(
+                    word, index, scorer=per_query, k=k
+                )
+            for target in set(lexicon):
+                assert fitted.target_rank(query, index, target) == per_query.target_rank(
+                    query, index, target
+                )
+
     def test_mismatched_index_rejected(self):
         scorer = toy_scorer()
         other = build_index(["noche"], ShinglerConfig((2,), "plain"))
@@ -258,13 +278,12 @@ class TestTopK:
             position = ranked.index(word) + 1
             assert scorer.target_rank(shingle(query, TWO_END), index, word) == position
 
-    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
-    def test_rank_equals_brute_force(self, normalization, sim_weight):
+    def test_rank_equals_brute_force(self, sim_weight):
         for function in RANKING_FUNCTIONS:
             fitted, triples = fitted_scorer(function=function)
-            config = replace(fitted.config, sim_weight=sim_weight, normalization=normalization)
-            rng = random.Random(f"{normalization}{sim_weight}{function}")
+            config = replace(fitted.config, sim_weight=sim_weight)
+            rng = random.Random(f"{sim_weight}{function}")
             for lexicon in self.lexicons(rng):
                 index = build_index(lexicon, TWO_END)
                 scorer = CombinedScorer(
@@ -278,7 +297,7 @@ class TestTopK:
         # the walk's per-query bounds come from the hits and the blocks,
         # not from the row; they must still be the row's min and max
         fitted, triples = fitted_scorer(function=function)
-        config = replace(fitted.config, sim_weight=0.4, normalization="per_query_minmax")
+        config = replace(fitted.config, sim_weight=0.4)
         rng = random.Random(f"walk{function}")
         for lexicon in [*self.lexicons(rng), ["ab", "abc", "a", "b"]]:
             index = build_index(lexicon, TWO_END)
@@ -290,8 +309,7 @@ class TestTopK:
             expected = _normalize(raws, min(raws), max(raws))
             assert [norm(i) for i in range(len(raws))] == expected
 
-    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
-    def test_short_unshared_document_above_long_shared_ones(self, normalization):
+    def test_short_unshared_document_above_long_shared_ones(self):
         # Dirichlet's length term: the one-token "q", which shares
         # nothing, outscores every long word sharing "1a" and "2ab"
         fitted, _ = fitted_scorer()
@@ -300,7 +318,7 @@ class TestTopK:
         params = RankerParams("dirichlet", mu=10.0)
         raws = sim_all(shingle("abcdefgh", TWO_END), index, params)
         assert raws[2] > raws[3] > max(raws[0], raws[1], raws[4])
-        config = replace(fitted.config, ranker=params, sim_weight=0.9, normalization=normalization)
+        config = replace(fitted.config, ranker=params, sim_weight=0.9)
         scorer = CombinedScorer(config, fitted.error_model, index, fitted.sim_min, fitted.sim_max)
         self.assert_top_k_and_target_ranks(scorer, "abcdefgh", index)
 
@@ -308,49 +326,46 @@ class TestTopK:
     def test_query_sharing_no_token(self, function):
         fitted, _ = fitted_scorer(function=function)
         index = build_index(["abc", "bcd", "cdef", "ab", "abc"], TWO_END)
-        config = replace(fitted.config, sim_weight=0.4, normalization="per_query_minmax")
+        config = replace(fitted.config, sim_weight=0.4)
         scorer = CombinedScorer(config, fitted.error_model, index)
         self.assert_top_k_and_target_ranks(scorer, "xyz", index)
 
     def test_duplicate_words(self):
         fitted, _ = fitted_scorer()
         index = build_index(["abc", "abd", "abc", "xy", "abd", "abc"], TWO_END)
-        for normalization in NORMALIZATION_MODES:
-            config = replace(fitted.config, sim_weight=0.4, normalization=normalization)
-            scorer = CombinedScorer(
-                config, fitted.error_model, index, fitted.sim_min, fitted.sim_max
-            )
-            self.assert_top_k_and_target_ranks(scorer, "abc", index)
+        config = replace(fitted.config, sim_weight=0.4)
+        scorer = CombinedScorer(config, fitted.error_model, index, fitted.sim_min, fitted.sim_max)
+        self.assert_top_k_and_target_ranks(scorer, "abc", index)
 
     def test_a_bound_equal_to_the_threshold_across_a_block_boundary(self):
-        # trained bounds below every raw sim clamp each normalized sim to
-        # 1.0, so the words sharing tokens with "xy" and the unshared "aa",
-        # last in the walk, all reach the bound; "aa" must still win the tie
-        index = build_index(["xyz", "xyw", "zxy", "aa"], TWO_END)
-        ranker = RankerParams("intersection")
-        query = shingle("xy", TWO_END)
-        assert sim_all(query, index, ranker) == [2.0, 2.0, 1.0, 0.0]
-        scorer = CombinedScorer(ScoreConfig(0.4, ranker), FlatModel(), index, -2.0, -1.0)
+        # Dirichlet's length term: the unshared "c", in the first size
+        # block after the hit "da", ties it at the row's top, so its bound
+        # equals the k-th score; "c" must still be scored and win the tie
+        index = build_index(["abb", "da", "c", "cacd", "ad"], TWO_END)
+        ranker = RankerParams("dirichlet", mu=1.0)
+        query = shingle("ddcd", TWO_END)
+        raws, _, _, order = sim_order(query, index, ranker)
+        assert raws[1] == raws[2] == max(raws) > max(raws[0], raws[3], raws[4])
+        assert list(order)[:2] == [1, 2]  # "da" is the only hit
+        scorer = CombinedScorer(ScoreConfig(0.4, ranker), FlatModel(), index)
         scores = scorer.score_candidates(query, index)
-        assert len(set(scores)) == 1
-        assert rank("xy", index, scorer=scorer, k=1) == [("aa", scores[3])]
-        assert scorer.target_rank(query, index, "aa") == 1
-        assert scorer.target_rank(query, index, "zxy") == 4
+        assert scores[1] == scores[2]
+        assert rank("ddcd", index, scorer=scorer, k=1) == [("c", scores[2])]
+        assert scorer.target_rank(query, index, "c") == 1
+        assert scorer.target_rank(query, index, "da") == 2
 
     def test_a_bound_equal_to_the_kth_score_is_not_pruned(self):
         # a model whose ceiling its scores reach: equal scores then tie on
         # the word, and the later, smaller word must still be scored
         index = build_index(["zz", "aa"], TWO_END)
-        config = ScoreConfig(sim_weight=0.4, normalization="per_query_minmax")
-        scorer = CombinedScorer(config, FlatModel(), index)
+        scorer = CombinedScorer(ScoreConfig(sim_weight=0.4), FlatModel(), index)
         scores = scorer.score_candidates(shingle("q", TWO_END), index)
         assert scores[0] == scores[1]
         assert rank("q", index, scorer=scorer, k=1) == [("aa", scores[1])]
 
     def test_a_bound_equal_to_the_target_score_is_not_pruned(self):
         index = build_index(["zz", "aa", "zz"], TWO_END)
-        config = ScoreConfig(sim_weight=0.4, normalization="per_query_minmax")
-        scorer = CombinedScorer(config, FlatModel(), index)
+        scorer = CombinedScorer(ScoreConfig(sim_weight=0.4), FlatModel(), index)
         query = shingle("q", TWO_END)
         # all three score alike: "aa" precedes "zz" on the word alone
         assert scorer.target_rank(query, index, "zz") == 2
@@ -361,7 +376,7 @@ class TestTopK:
         rng = random.Random(38)
         index = build_index([random_word(rng, 2, 8) for _ in range(300)], TWO_END)
         scorer = CombinedScorer(
-            replace(fitted.config, sim_weight=0.4, normalization="per_query_minmax"),
+            replace(fitted.config, sim_weight=0.4),
             fitted.error_model,
             index,
         )
@@ -385,7 +400,7 @@ class TestTopK:
         index = build_index([word[:n] for n in range(2, len(word) + 1)], TWO_END)
         query = shingle(word, TWO_END)
         scorer = CombinedScorer(
-            ScoreConfig(1.0, RankerParams("dirichlet"), "per_query_minmax"),
+            ScoreConfig(1.0, RankerParams("dirichlet")),
             fitted.error_model,
             index,
         )
