@@ -28,7 +28,7 @@ from cognatekit import (
 )
 from cognatekit.error_model import ErrorModel
 from cognatekit.ranking import RANKING_FUNCTIONS, sim_all, sim_order
-from cognatekit.scorer import _blend, _normalize
+from cognatekit.scorer import NORMALIZATION_MODES, _blend, _normalize
 
 from conftest import random_word, train_on_words
 
@@ -278,12 +278,14 @@ class TestTopK:
             position = ranked.index(word) + 1
             assert scorer.target_rank(shingle(query, TWO_END), index, word) == position
 
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
     @pytest.mark.parametrize("sim_weight", [0.0, 0.4, 1.0])
-    def test_rank_equals_brute_force(self, sim_weight):
+    def test_rank_equals_brute_force(self, normalization, sim_weight):
+        # the walk ranks by per-query bounds under either normalization
         for function in RANKING_FUNCTIONS:
             fitted, triples = fitted_scorer(function=function)
-            config = replace(fitted.config, sim_weight=sim_weight)
-            rng = random.Random(f"{sim_weight}{function}")
+            config = replace(fitted.config, sim_weight=sim_weight, normalization=normalization)
+            rng = random.Random(f"{normalization}{sim_weight}{function}")
             for lexicon in self.lexicons(rng):
                 index = build_index(lexicon, TWO_END)
                 scorer = CombinedScorer(
@@ -309,7 +311,8 @@ class TestTopK:
             expected = _normalize(raws, min(raws), max(raws))
             assert [norm(i) for i in range(len(raws))] == expected
 
-    def test_short_unshared_document_above_long_shared_ones(self):
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+    def test_short_unshared_document_above_long_shared_ones(self, normalization):
         # Dirichlet's length term: the one-token "q", which shares
         # nothing, outscores every long word sharing "1a" and "2ab"
         fitted, _ = fitted_scorer()
@@ -318,7 +321,7 @@ class TestTopK:
         params = RankerParams("dirichlet", mu=10.0)
         raws = sim_all(shingle("abcdefgh", TWO_END), index, params)
         assert raws[2] > raws[3] > max(raws[0], raws[1], raws[4])
-        config = replace(fitted.config, ranker=params, sim_weight=0.9)
+        config = replace(fitted.config, ranker=params, sim_weight=0.9, normalization=normalization)
         scorer = CombinedScorer(config, fitted.error_model, index, fitted.sim_min, fitted.sim_max)
         self.assert_top_k_and_target_ranks(scorer, "abcdefgh", index)
 
